@@ -27,10 +27,8 @@ from kappasim.corpus import (
 from kappasim.agreement import KappaValue, fleiss_kappa, kappa_from_counts
 from kappasim.mc import (
     ExperimentConfig,
-    RunRecord,
     RunSet,
     SubsetStats,
-    kappa_table,
     prefix_kappas,
     read_runs,
     read_stats,
@@ -38,7 +36,6 @@ from kappasim.mc import (
     sample_team,
     summarize,
     summarize_table,
-    thread_count,
     write_runs,
     write_stats,
 )
@@ -89,10 +86,8 @@ __all__ = [
     "fleiss_kappa",
     "kappa_from_counts",
     "ExperimentConfig",
-    "RunRecord",
     "RunSet",
     "SubsetStats",
-    "kappa_table",
     "prefix_kappas",
     "read_runs",
     "read_stats",
@@ -100,7 +95,6 @@ __all__ = [
     "sample_team",
     "summarize",
     "summarize_table",
-    "thread_count",
     "write_runs",
     "write_stats",
     "FREE_BY_STAGE",

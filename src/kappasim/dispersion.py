@@ -28,7 +28,7 @@ import numpy as np
 from kappasim.agreement import fleiss_kappa
 from kappasim.corpus import AnnotationMatrix, open_text_dest
 from kappasim.errors import DataError
-from kappasim.mc import ExperimentConfig, kappa_table, run_experiment
+from kappasim.mc import ExperimentConfig, column_moments, run_experiment
 
 VARIATION_HEADER = ("n", "mu_bar", "sigma_bar", "cv", "cv_percent")
 INTERVALS_HEADER = ("n", "level", "lower", "upper")
@@ -106,26 +106,7 @@ class IntervalEstimate:
         return f"{self.percent:.2f}%"
 
 
-def _column_moments(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Constant columns short-circuit so the n=k column yields sigma = 0.0
-    # exactly (and mu = kappa_hat bitwise), m=1 included.
-    mu = np.empty(table.shape[1])
-    sigma = np.empty(table.shape[1])
-    for col_idx in range(table.shape[1]):
-        col = table[:, col_idx]
-        lo, hi = col.min(), col.max()
-        if lo == hi:
-            mu[col_idx], sigma[col_idx] = lo, 0.0
-        else:
-            mu[col_idx], sigma[col_idx] = col.mean(), col.std(ddof=1)
-    return mu, sigma
-
-
-def run_variation(
-    matrix: AnnotationMatrix,
-    config: VariationConfig,
-    threads: int | None = None,
-) -> VariationTable:
+def run_variation(matrix: AnnotationMatrix, config: VariationConfig) -> VariationTable:
     """Sample j teams, run m repetitions each, fold the running moments.
 
     Team t's entire experiment (team draw and orderings) is seeded by a
@@ -145,12 +126,8 @@ def run_variation(
         sub_seed = int(
             np.random.SeedSequence(config.seed, spawn_key=(t,)).generate_state(1, np.uint64)[0]
         )
-        run_set = run_experiment(
-            matrix,
-            ExperimentConfig(k=config.k, m=config.m, seed=sub_seed),
-            threads=threads,
-        )
-        mu_t, sigma_t = _column_moments(kappa_table(run_set))
+        run_set = run_experiment(matrix, ExperimentConfig(k=config.k, m=config.m, seed=sub_seed))
+        mu_t, sigma_t = column_moments(run_set.kappas)
         mu_bar = ((t - 1) * mu_bar + mu_t) / t
         sigma_bar = ((t - 1) * sigma_bar + sigma_t) / t
         team_kappa_hats.append(run_set.kappa_hat)

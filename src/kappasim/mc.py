@@ -9,16 +9,14 @@ the earlier prefix values is the object of study.
 
 Determinism contract: the team draw consumes a root stream seeded with
 ``seed``; run r draws its ordering from an independent child stream keyed
-by ``(seed, r)``. Results are therefore bit-identical regardless of
-execution order or thread count, and the first m runs of a longer
-experiment coincide with the m runs of a shorter one.
+by ``(seed, r)``. Results are therefore bit-identical on every
+invocation, and the first m runs of a longer experiment coincide with the
+m runs of a shorter one.
 """
 
 from __future__ import annotations
 
 import csv
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence, TextIO
@@ -30,32 +28,6 @@ from kappasim.errors import DataError
 
 RUNS_HEADER = ("run_id", "n", "kappa")
 STATS_HEADER = ("n", "min", "q1", "median", "q3", "max", "mean", "std")
-
-
-def _available_parallelism() -> int:
-    getter = getattr(os, "process_cpu_count", None)
-    if getter is not None:
-        return getter() or 1
-    try:
-        return len(os.sched_getaffinity(0)) or 1
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def thread_count(requested: int | None = None) -> int:
-    """Resolve the worker count: explicit argument, else the
-    KAPPASIM_THREADS environment variable, else available parallelism."""
-    if requested is None:
-        env = os.environ.get("KAPPASIM_THREADS")
-        if not env:
-            return _available_parallelism()
-        try:
-            requested = int(env)
-        except ValueError:
-            raise DataError(f"KAPPASIM_THREADS must be a positive integer, got {env!r}") from None
-    if requested < 1:
-        raise DataError(f"thread count must be >= 1, got {requested}")
-    return requested
 
 
 @dataclass(frozen=True)
@@ -86,36 +58,35 @@ class ExperimentConfig:
 
 
 @dataclass(frozen=True)
-class RunRecord:
-    """One repetition: the ordering drawn and its kappa_2..kappa_k."""
-
-    run_id: int
-    ordering: tuple[str, ...]
-    kappas: np.ndarray
-
-    def __post_init__(self) -> None:
-        kappas = np.asarray(self.kappas, dtype=np.float64).copy()
-        if kappas.shape != (len(self.ordering) - 1,):
-            raise DataError("progression length must be team size minus 1")
-        kappas.setflags(write=False)
-        object.__setattr__(self, "kappas", kappas)
-
-
-@dataclass(frozen=True)
 class RunSet:
-    """All m repetitions for one team. ``kappa_hat`` is the full-team
-    agreement, equal to every run's final prefix value exactly."""
+    """All m repetitions for one team, stored by column.
+
+    Row r-1 holds run r: ``perms[r-1]`` is its ordering as positions in
+    ``team`` and ``kappas[r-1]`` its kappa_2..kappa_k. ``kappa_hat`` is the
+    full-team agreement, equal to every run's final prefix value exactly.
+    """
 
     config: ExperimentConfig
     team: tuple[str, ...]
     kappa_hat: float
-    runs: tuple[RunRecord, ...]
+    perms: np.ndarray
+    kappas: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.runs) != self.config.m:
-            raise DataError(f"expected {self.config.m} runs, got {len(self.runs)}")
-        if any(run.kappas[-1] != self.kappa_hat for run in self.runs):
+        k, m = self.config.k, self.config.m
+        perms = np.array(self.perms, dtype=np.int64)
+        kappas = np.array(self.kappas, dtype=np.float64)
+        if perms.shape != (m, k):
+            raise DataError(f"orderings must have shape (m, k) = {(m, k)}, got {perms.shape}")
+        if kappas.shape != (m, k - 1):
+            raise DataError(
+                f"progressions must have shape (m, k-1) = {(m, k - 1)}, got {kappas.shape}"
+            )
+        if np.any(kappas[:, -1] != self.kappa_hat):
             raise DataError("final prefix agreement differs across runs")
+        for name, arr in (("perms", perms), ("kappas", kappas)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def ns(self) -> tuple[int, ...]:
@@ -214,15 +185,11 @@ def prefix_kappas(
     return _prefix_kappas_from_codes(matrix.codes[idx], len(matrix.categories))
 
 
-def run_experiment(
-    matrix: AnnotationMatrix,
-    config: ExperimentConfig,
-    threads: int | None = None,
-) -> RunSet:
+def run_experiment(matrix: AnnotationMatrix, config: ExperimentConfig) -> RunSet:
     """Execute the full experiment: one team, m ordering progressions.
 
-    Pure function of (matrix, config); ``threads`` only sets the degree of
-    parallelism and never changes the result.
+    Pure function of (matrix, config): run r's ordering comes from its own
+    child stream, so no run depends on another.
     """
     root = np.random.default_rng(np.random.SeedSequence(config.seed))
     if config.team is not None:
@@ -235,37 +202,36 @@ def run_experiment(
     idx = [matrix.raters.index(r) for r in team]
     codes = matrix.codes[idx]
     n_categories = len(matrix.categories)
-    k, seed = config.k, config.seed
-
-    def progression(run_id: int) -> tuple[tuple[str, ...], np.ndarray]:
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(run_id,)))
-        perm = rng.permutation(k)
-        ordering = tuple(team[p] for p in perm)
-        return ordering, _prefix_kappas_from_codes(codes[perm], n_categories)
-
-    def worker(run_ids: Sequence[int]) -> list[tuple[int, tuple[str, ...], np.ndarray]]:
-        return [(rid, *progression(rid)) for rid in run_ids]
-
-    n_threads = min(thread_count(threads), config.m)
-    all_ids = list(range(1, config.m + 1))
-    if n_threads == 1:
-        batches = [worker(all_ids)]
-    else:
-        bounds = np.linspace(0, config.m, n_threads + 1).astype(int)
-        chunks = [all_ids[bounds[i] : bounds[i + 1]] for i in range(n_threads)]
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            batches = list(pool.map(worker, chunks))
-    runs = tuple(
-        RunRecord(run_id=rid, ordering=ordering, kappas=kappas)
-        for batch in batches
-        for rid, ordering, kappas in batch
+    perms = np.empty((config.m, config.k), dtype=np.int64)
+    kappas = np.empty((config.m, config.k - 1))
+    for row in range(config.m):
+        rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(row + 1,)))
+        perms[row] = rng.permutation(config.k)
+        kappas[row] = _prefix_kappas_from_codes(codes[perms[row]], n_categories)
+    return RunSet(
+        config=config, team=team, kappa_hat=float(kappas[0, -1]), perms=perms, kappas=kappas
     )
-    return RunSet(config=config, team=team, kappa_hat=float(runs[0].kappas[-1]), runs=runs)
 
 
-def kappa_table(runs: RunSet) -> np.ndarray:
-    """Stack the progressions into an (m, k-1) array, run-id order."""
-    return np.stack([run.kappas for run in runs.runs])
+def column_moments(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and sample standard deviation (divisor m-1) of each column of
+    an (m, c) table.
+
+    A constant column yields (value, 0.0) exactly, m=1 included, so the
+    full-team column reproduces kappa-hat untouched by summation error.
+    The other columns are reduced as rows of the contiguous transpose:
+    that sums each column in the same pairwise order as reducing it on its
+    own, where ``axis=0`` would accumulate row by row and differ in the
+    last bits.
+    """
+    cols = np.ascontiguousarray(np.asarray(table, dtype=np.float64).T)
+    mu = cols.min(axis=1)
+    sigma = np.zeros(len(cols))
+    live = mu != cols.max(axis=1)
+    if live.any():  # never with m=1, where std(ddof=1) would warn
+        mu[live] = cols[live].mean(axis=1)
+        sigma[live] = cols[live].std(axis=1, ddof=1)
+    return mu, sigma
 
 
 def summarize_table(ns: Sequence[int], table: np.ndarray) -> SubsetStats:
@@ -282,38 +248,25 @@ def summarize_table(ns: Sequence[int], table: np.ndarray) -> SubsetStats:
         raise DataError("kappa table shape must be (m, number of subset sizes)")
     if table.shape[0] < 1:
         raise DataError("kappa table must hold at least one run")
-    cols = {name: np.empty(len(ns)) for name in STATS_HEADER[1:]}
-    for j in range(len(ns)):
-        col = table[:, j]
-        lo, hi = col.min(), col.max()
-        if lo == hi:
-            for name in ("min", "q1", "median", "q3", "max", "mean"):
-                cols[name][j] = lo
-            cols["std"][j] = 0.0
-        else:
-            q1, med, q3 = np.percentile(col, (25, 50, 75))
-            cols["min"][j] = lo
-            cols["q1"][j] = q1
-            cols["median"][j] = med
-            cols["q3"][j] = q3
-            cols["max"][j] = hi
-            cols["mean"][j] = col.mean()
-            cols["std"][j] = col.std(ddof=1)
+    lo, hi = table.min(axis=0), table.max(axis=0)
+    const = lo == hi
+    q1, med, q3 = (np.where(const, lo, q) for q in np.percentile(table, (25, 50, 75), axis=0))
+    mu, sigma = column_moments(table)
     return SubsetStats(
         ns=tuple(int(n) for n in ns),
-        mins=cols["min"],
-        q1s=cols["q1"],
-        medians=cols["median"],
-        q3s=cols["q3"],
-        maxs=cols["max"],
-        means=cols["mean"],
-        stds=cols["std"],
+        mins=lo,
+        q1s=q1,
+        medians=med,
+        q3s=q3,
+        maxs=hi,
+        means=mu,
+        stds=sigma,
     )
 
 
 def summarize(runs: RunSet) -> SubsetStats:
     """Per-n distribution summary over the m runs of an experiment."""
-    return summarize_table(runs.ns, kappa_table(runs))
+    return summarize_table(runs.ns, runs.kappas)
 
 
 def write_runs(runs: RunSet, dest: str | Path | TextIO | None) -> None:
@@ -322,9 +275,9 @@ def write_runs(runs: RunSet, dest: str | Path | TextIO | None) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(RUNS_HEADER)
         ns = runs.ns
-        for run in runs.runs:
-            for n, kappa in zip(ns, run.kappas):
-                writer.writerow((run.run_id, n, f"{kappa:.6f}"))
+        for run_id, kappas in enumerate(runs.kappas, 1):
+            for n, kappa in zip(ns, kappas):
+                writer.writerow((run_id, n, f"{kappa:.6f}"))
 
 
 def read_runs(path: str | Path) -> tuple[tuple[int, ...], np.ndarray]:

@@ -26,7 +26,6 @@ from kappasim import (
     fleiss_kappa,
     generate_synthetic,
     kappa_from_counts,
-    kappa_table,
     load_mapping,
     load_raw,
     preprocess,
@@ -135,7 +134,7 @@ def test_c03_prefix_distribution_shape():
         stats = summarize(run_set)
         elapsed = time.perf_counter() - start
 
-        table = kappa_table(run_set)
+        table = run_set.kappas
         assert np.all(table[:, -1] == run_set.kappa_hat)
 
         iqr_steps = np.diff(stats.iqrs)

@@ -189,10 +189,6 @@ class TestSimulate:
             outputs.append(runs.read_bytes())
         assert outputs[0] == outputs[1]
 
-    def test_bad_thread_env(self, matrix_file, capsys, monkeypatch):
-        monkeypatch.setenv("KAPPASIM_THREADS", "zero")
-        assert main(["simulate", "--input", str(matrix_file), "--k", "4", "--m", "2"]) == 2
-
     def test_oversized_team(self, matrix_file, capsys):
         assert main(["simulate", "--input", str(matrix_file), "--k", "999", "--m", "2"]) == 2
 

@@ -14,7 +14,6 @@ from kappasim import (
     cv_percent,
     fleiss_kappa,
     interval_estimate,
-    kappa_table,
     read_variation,
     run_experiment,
     run_variation,
@@ -68,7 +67,7 @@ class TestRunVariation:
         replica = run_experiment(
             twin_matrix, ExperimentConfig(k=5, m=25, seed=team_sub_seed(9, 1))
         )
-        mu, sigma = column_moments(kappa_table(replica))
+        mu, sigma = column_moments(replica.kappas)
         assert np.array_equal(vt.mu_bar, mu)
         assert np.array_equal(vt.sigma_bar, sigma)
         assert vt.team_kappa_hats == (replica.kappa_hat,)
@@ -83,7 +82,7 @@ class TestRunVariation:
             replica = run_experiment(
                 twin_matrix, ExperimentConfig(k=4, m=10, seed=team_sub_seed(3, t))
             )
-            mu_t, sigma_t = column_moments(kappa_table(replica))
+            mu_t, sigma_t = column_moments(replica.kappas)
             mus.append(mu_t)
             sigmas.append(sigma_t)
         assert vt.mu_bar == pytest.approx(np.mean(mus, axis=0), rel=1e-12)

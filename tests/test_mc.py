@@ -6,11 +6,9 @@ import pytest
 from kappasim import (
     DataError,
     ExperimentConfig,
-    RunRecord,
     RunSet,
     fleiss_kappa,
     generate_synthetic,
-    kappa_table,
     prefix_kappas,
     read_runs,
     read_stats,
@@ -18,7 +16,6 @@ from kappasim import (
     sample_team,
     summarize,
     summarize_table,
-    thread_count,
     write_runs,
     write_stats,
 )
@@ -83,10 +80,10 @@ class TestPrefixKappas:
         assert agreeing_first[-1] == scatter_first[-1]
 
     def test_each_prefix_matches_direct_evaluation(self, twin_matrix, twin_runset):
-        run = twin_runset.runs[0]
+        ordering = tuple(twin_runset.team[p] for p in twin_runset.perms[0])
         for n in (2, 7, 23, 45):
-            direct = fleiss_kappa(twin_matrix.subset(run.ordering[:n])).kappa
-            assert run.kappas[n - 2] == direct
+            direct = fleiss_kappa(twin_matrix.subset(ordering[:n])).kappa
+            assert twin_runset.kappas[0][n - 2] == direct
 
     def test_prefix_locality(self):
         rng = np.random.default_rng(8)
@@ -111,37 +108,34 @@ class TestPrefixKappas:
 
 class TestRunExperiment:
     def test_final_column_constant_and_exact(self, twin_matrix, twin_runset):
-        finals = kappa_table(twin_runset)[:, -1]
+        finals = twin_runset.kappas[:, -1]
         assert np.all(finals == twin_runset.kappa_hat)
         assert twin_runset.kappa_hat == fleiss_kappa(twin_matrix).kappa
 
     def test_determinism(self, twin_matrix):
-        cfg = ExperimentConfig(k=8, m=25, seed=5)
+        cfg = ExperimentConfig(k=10, m=37, seed=4)
         a = run_experiment(twin_matrix, cfg)
         b = run_experiment(twin_matrix, cfg)
         assert a.team == b.team
-        assert all(x.ordering == y.ordering for x, y in zip(a.runs, b.runs))
-        assert np.array_equal(kappa_table(a), kappa_table(b))
+        assert np.array_equal(a.perms, b.perms)
+        assert np.array_equal(a.kappas, b.kappas)
+        # row r-1 is run r: its ordering comes from the child stream keyed on r
+        for run_id, perm in enumerate(a.perms, 1):
+            rng = np.random.default_rng(np.random.SeedSequence(4, spawn_key=(run_id,)))
+            assert np.array_equal(perm, rng.permutation(10))
 
     def test_single_run(self, twin_matrix):
         rs = run_experiment(twin_matrix, ExperimentConfig(k=5, m=1, seed=0))
-        assert len(rs.runs) == 1
-        assert rs.runs[0].kappas.shape == (4,)
+        assert rs.perms.shape == (1, 5)
+        assert rs.kappas.shape == (1, 4)
 
     def test_runs_prefix_stable_in_m(self, twin_matrix):
         short = run_experiment(twin_matrix, ExperimentConfig(k=6, m=10, seed=9))
         long = run_experiment(twin_matrix, ExperimentConfig(k=6, m=40, seed=9))
-        assert np.array_equal(kappa_table(long)[:10], kappa_table(short))
+        assert np.array_equal(long.perms[:10], short.perms)
+        assert np.array_equal(long.kappas[:10], short.kappas)
         # hence per-n minima can only go down as m grows
-        assert np.all(kappa_table(long).min(axis=0) <= kappa_table(short).min(axis=0))
-
-    def test_thread_count_invariance(self, twin_matrix):
-        cfg = ExperimentConfig(k=10, m=37, seed=4)
-        serial = run_experiment(twin_matrix, cfg, threads=1)
-        threaded = run_experiment(twin_matrix, cfg, threads=8)
-        assert serial.team == threaded.team
-        assert np.array_equal(kappa_table(serial), kappa_table(threaded))
-        assert [r.run_id for r in threaded.runs] == list(range(1, 38))
+        assert np.all(long.kappas.min(axis=0) <= short.kappas.min(axis=0))
 
     def test_explicit_team(self, twin_matrix):
         team = ("p05", "p01", "p44")
@@ -174,30 +168,25 @@ class TestConfigAndRecords:
         with pytest.raises(DataError):
             ExperimentConfig(**kwargs)
 
-    def test_run_record_length_check(self):
-        with pytest.raises(DataError, match="length"):
-            RunRecord(run_id=1, ordering=("a", "b", "c"), kappas=np.array([0.1]))
+    def test_runset_shape_check(self):
+        cfg = ExperimentConfig(k=3, m=2, seed=0)
+        perms = np.array([[0, 1, 2], [1, 0, 2]])
+        kappas = np.array([[0.1, 0.5], [0.2, 0.5]])
+        with pytest.raises(DataError, match="shape"):
+            RunSet(cfg, ("a", "b", "c"), 0.5, perms[:, :2], kappas)
+        with pytest.raises(DataError, match="shape"):
+            RunSet(cfg, ("a", "b", "c"), 0.5, perms[:1], kappas)
+        with pytest.raises(DataError, match="shape"):
+            RunSet(cfg, ("a", "b", "c"), 0.5, perms, kappas[:, :1])
+        rs = RunSet(cfg, ("a", "b", "c"), 0.5, perms, kappas)
+        assert rs.ns == (2, 3)
+        assert not rs.kappas.flags.writeable and not rs.perms.flags.writeable
 
     def test_runset_checks_final_agreement(self):
-        runs = (
-            RunRecord(1, ("a", "b", "c"), np.array([0.1, 0.5])),
-            RunRecord(2, ("b", "a", "c"), np.array([0.2, 0.4])),
-        )
+        perms = np.array([[0, 1, 2], [1, 0, 2]])
+        kappas = np.array([[0.1, 0.5], [0.2, 0.4]])
         with pytest.raises(DataError, match="final prefix"):
-            RunSet(ExperimentConfig(k=3, m=2, seed=0), ("a", "b", "c"), 0.5, runs)
-
-    def test_thread_count_resolution(self, monkeypatch):
-        assert thread_count(4) == 4
-        monkeypatch.setenv("KAPPASIM_THREADS", "3")
-        assert thread_count() == 3
-        monkeypatch.setenv("KAPPASIM_THREADS", "zero")
-        with pytest.raises(DataError, match="KAPPASIM_THREADS"):
-            thread_count()
-        monkeypatch.setenv("KAPPASIM_THREADS", "0")
-        with pytest.raises(DataError, match=">= 1"):
-            thread_count()
-        monkeypatch.delenv("KAPPASIM_THREADS")
-        assert thread_count() >= 1
+            RunSet(ExperimentConfig(k=3, m=2, seed=0), ("a", "b", "c"), 0.5, perms, kappas)
 
 
 class TestSummarize:
@@ -222,8 +211,8 @@ class TestSummarize:
     def test_single_run_summary(self, twin_matrix):
         rs = run_experiment(twin_matrix, ExperimentConfig(k=4, m=1, seed=2))
         stats = summarize(rs)
-        assert np.array_equal(stats.mins, rs.runs[0].kappas)
-        assert np.array_equal(stats.maxs, rs.runs[0].kappas)
+        assert np.array_equal(stats.mins, rs.kappas[0])
+        assert np.array_equal(stats.maxs, rs.kappas[0])
         assert np.all(stats.stds == 0.0)
 
     def test_order_statistics_ordered(self, twin_runset):
@@ -255,7 +244,7 @@ class TestRunFiles:
         ns, table = read_runs(path)
         assert ns == (2, 3, 4, 5)
         assert table.shape == (7, 4)
-        assert np.allclose(table, kappa_table(rs), atol=5e-7)
+        assert np.allclose(table, rs.kappas, atol=5e-7)
 
     def test_stats_roundtrip(self, twin_runset, tmp_path):
         stats = summarize(twin_runset)
