@@ -1,4 +1,5 @@
 import io
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -123,6 +124,19 @@ class TestRunExperiment:
         for run_id, perm in enumerate(a.perms, 1):
             rng = np.random.default_rng(np.random.SeedSequence(4, spawn_key=(run_id,)))
             assert np.array_equal(perm, rng.permutation(10))
+
+    def test_thread_count_invariance(self, twin_matrix):
+        # run_experiment keeps no shared state, so callers on several threads
+        # at once get exactly what a lone serial caller gets
+        cfg = ExperimentConfig(k=10, m=37, seed=4)
+        serial = run_experiment(twin_matrix, cfg)
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(lambda _: run_experiment(twin_matrix, cfg), range(4)))
+        for rs in threaded:
+            assert rs.team == serial.team
+            assert np.array_equal(rs.perms, serial.perms)
+            assert np.array_equal(rs.kappas, serial.kappas)
+            assert rs.kappa_hat == serial.kappa_hat
 
     def test_single_run(self, twin_matrix):
         rs = run_experiment(twin_matrix, ExperimentConfig(k=5, m=1, seed=0))
