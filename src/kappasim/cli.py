@@ -9,7 +9,7 @@ the flag is omitted; progress and context lines go to standard error.
 from __future__ import annotations
 
 import argparse
-import csv
+import dataclasses
 import json
 import math
 import sys
@@ -17,7 +17,6 @@ from typing import NoReturn, Sequence
 
 from kappasim import __version__
 from kappasim.corpus import (
-    PreprocessReport,
     generate_synthetic,
     load_mapping,
     load_raw,
@@ -25,6 +24,7 @@ from kappasim.corpus import (
     preprocess,
     read_matrix,
     write_matrix,
+    write_table,
 )
 from kappasim.agreement import fleiss_kappa
 from kappasim.dispersion import (
@@ -93,27 +93,13 @@ def _probability(text: str) -> float:
 _seed_type = _int_at_least(0, "seed")
 
 
-def _write_report(report: PreprocessReport, dest: str) -> None:
-    with open_text_dest(dest) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(REPORT_HEADER)
-        writer.writerow(
-            (
-                report.total_in,
-                report.removed_non_developers,
-                report.removed_incomplete,
-                report.retained,
-            )
-        )
-
-
 def _cmd_preprocess(args: argparse.Namespace) -> int:
     mapping = load_mapping(args.mapping)
     raw = load_raw(args.raw, mapping)
     matrix, report = preprocess(raw)
     write_matrix(matrix, args.out)
     if args.report:
-        _write_report(report, args.report)
+        write_table(args.report, REPORT_HEADER, [dataclasses.astuple(report)])
     print(
         f"retained {report.retained}/{report.total_in} respondents "
         f"({report.removed_non_developers} non-developers, "

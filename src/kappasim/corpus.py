@@ -8,12 +8,13 @@ categorical sentiment labels.
 from __future__ import annotations
 
 import csv
-import io
+import itertools
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence, TextIO
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -35,6 +36,98 @@ def open_text_dest(dest: str | Path | TextIO | None) -> Iterator[TextIO]:
     else:
         with open(dest, "w", encoding="utf-8", newline="") as fh:
             yield fh
+
+
+def write_table(
+    dest: str | Path | TextIO | None, header: Sequence[str], rows: Iterable[Sequence[object]]
+) -> None:
+    """Write a CSV table to ``dest`` (see :func:`open_text_dest`): the
+    header row, then ``rows``, ``\\n`` line endings, quoting as needed."""
+    with open_text_dest(dest) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+_CHUNK_ROWS = 2048  # rows read_table hands over at a time
+
+
+def read_table(
+    path: str | Path, header: Sequence[str], what: str
+) -> Iterator[tuple[Sequence[int], list[list[str]]]]:
+    """Read a CSV table with exactly ``header`` as its first row.
+
+    Yields the data rows in chunks, as (line numbers, string fields), so
+    that memory holds one chunk of the file's strings, not all of them.
+    UTF-8 with an optional BOM; blank rows are skipped. Raises
+    :class:`DataError` for a different header, a row without exactly one
+    field per header column, or a file with no data rows; ``what`` names
+    the table in the messages.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(f"{what} file not found: {path}")
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
+        if tuple(h.strip() for h in next(reader, ())) != tuple(header):
+            raise DataError(f"{path}: expected header '{','.join(header)}'")
+        empty, next_line = True, 2
+        while rows := list(itertools.islice(reader, _CHUNK_ROWS)):
+            linenos: Sequence[int] = range(next_line, next_line + len(rows))
+            next_line += len(rows)
+            if not all(rows):  # a blank line reads as []
+                linenos = [lineno for lineno, row in zip(linenos, rows) if row]
+                rows = [row for row in rows if row]
+            if set(map(len, rows)) - {len(header)}:
+                bad = next(i for i, row in enumerate(rows) if len(row) != len(header))
+                raise DataError(f"{path}:{linenos[bad]}: malformed {what} row")
+            if rows:
+                empty = False
+                yield linenos, rows
+    if empty:
+        raise DataError(f"{path}: no {what} rows")
+
+
+# How read_columns parses each kind of column, and the check its values
+# must pass: "nan" marks an undefined value only where a table allows it.
+_COLUMN_KINDS = {
+    "int": (int, None),
+    "float": (float, np.isfinite),
+    "float_or_nan": (float, lambda values: ~np.isinf(values)),
+}
+
+
+def _cell_ok(kind: str, cell: str) -> bool:
+    parse, check = _COLUMN_KINDS[kind]
+    try:
+        value = parse(cell)
+    except ValueError:
+        return False
+    return check is None or bool(check(value))
+
+
+def read_columns(
+    path: str | Path, header: Sequence[str], what: str, kinds: Sequence[str]
+) -> list[np.ndarray]:
+    """Read a table as in :func:`read_table`, one array per column.
+
+    ``kinds`` gives each column's kind: ``"int"``, ``"float"`` (finite) or
+    ``"float_or_nan"``. Cells are parsed by Python's ``int``/``float``. A
+    bad cell raises :class:`DataError` naming its line.
+    """
+    chunks: list[list[np.ndarray]] = [[] for _ in kinds]
+    for linenos, rows in read_table(path, header, what):
+        try:
+            for j, (kind, column) in enumerate(zip(kinds, chunks)):
+                parse, check = _COLUMN_KINDS[kind]
+                values = np.array(list(map(parse, map(itemgetter(j), rows))))
+                if check is not None and not check(values).all():
+                    raise ValueError
+                column.append(values)
+        except ValueError:
+            bad = next(i for i, row in enumerate(rows) if not all(map(_cell_ok, kinds, row)))
+            raise DataError(f"{path}:{linenos[bad]}: malformed {what} row") from None
+    return [np.concatenate(column) for column in chunks]
 
 
 @dataclass(frozen=True, eq=False)
@@ -414,12 +507,10 @@ def generate_synthetic(
 def write_matrix(matrix: AnnotationMatrix, dest: str | Path | TextIO | None) -> None:
     """Write the long-format matrix file: header ``rater,item,label``, one
     row per (rater, item), rater-major order."""
-    with open_text_dest(dest) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(MATRIX_HEADER)
-        for r, rater in enumerate(matrix.raters):
-            for i, item in enumerate(matrix.items):
-                writer.writerow((rater, item, matrix.categories[matrix.codes[r, i]]))
+    cats, items = matrix.categories, matrix.items
+    grid = zip(matrix.raters, matrix.codes.tolist())
+    rows = ((r, i, cats[c]) for r, codes in grid for i, c in zip(items, codes))
+    write_table(dest, MATRIX_HEADER, rows)
 
 
 def read_matrix(path: str | Path, categories: Sequence[str] | None = None) -> AnnotationMatrix:
@@ -431,55 +522,59 @@ def read_matrix(path: str | Path, categories: Sequence[str] | None = None) -> An
     sentiment triple when every token belongs to it, otherwise the
     distinct tokens in first-appearance order.
     """
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"matrix file not found: {path}")
-    with open(path, encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = tuple(h.strip() for h in next(reader))
-        except StopIteration:
-            raise DataError(f"{path}: empty file, header 'rater,item,label' required") from None
-        if header != MATRIX_HEADER:
-            raise DataError(f"{path}: expected header 'rater,item,label', got {','.join(header)}")
-        raters: list[str] = []
-        items: list[str] = []
-        seen_tokens: list[str] = []
-        cells: dict[tuple[str, str], str] = {}
-        for lineno, record in enumerate(reader, 2):
-            if not record:
-                continue
-            if len(record) != 3:
-                raise DataError(f"{path}:{lineno}: malformed row, expected 3 fields")
-            rater, item, token = record
-            if categories is not None:
-                if token not in categories:
-                    raise DataError(f"{path}:{lineno}: unknown label token {token!r}")
-            elif token not in SENTIMENT_CATEGORIES and token.lower() in SENTIMENT_CATEGORIES:
-                # Tokens are case-sensitive; a case-variant of a canonical
-                # label is a data defect, not a new category.
-                raise DataError(f"{path}:{lineno}: unknown label token {token!r}")
-            if (rater, item) in cells:
-                raise DataError(f"{path}:{lineno}: duplicate cell for rater {rater!r}, item {item!r}")
-            cells[(rater, item)] = token
-            if rater not in raters:
-                raters.append(rater)
-            if item not in items:
-                items.append(item)
-            if token not in seen_tokens:
-                seen_tokens.append(token)
-    if categories is None:
-        if set(seen_tokens) <= set(SENTIMENT_CATEGORIES):
-            cats: tuple[str, ...] = SENTIMENT_CATEGORIES
+    # Number raters, items and tokens by first appearance: dict lookups
+    # keep the read linear, and four integer columns (line, rater, item,
+    # token) replace the strings of every cell.
+    raters: dict[str, int] = {}
+    items: dict[str, int] = {}
+    tokens: dict[str, int] = {}
+    chunks = [
+        np.array(
+            [
+                linenos,
+                [raters.setdefault(r, len(raters)) for r, _, _ in rows],
+                [items.setdefault(i, len(items)) for _, i, _ in rows],
+                [tokens.setdefault(t, len(tokens)) for _, _, t in rows],
+            ]
+        )
+        for linenos, rows in read_table(path, MATRIX_HEADER, "matrix")
+    ]
+    linenos, rater_idx, item_idx, token_idx = np.concatenate(chunks, axis=1)
+
+    for token, code in tokens.items():  # in first-appearance order
+        if categories is not None:
+            unknown = token not in categories
         else:
-            cats = tuple(seen_tokens)
-    else:
-        cats = tuple(categories)
-    if len(cells) != len(raters) * len(items):
-        for rater in raters:
-            for item in items:
-                if (rater, item) not in cells:
-                    raise DataError(
-                        f"{path}: incomplete matrix: rater {rater!r} has no label for item {item!r}"
-                    )
-    return AnnotationMatrix.from_labels(raters, items, cats, cells)
+            # Tokens are case-sensitive; a case-variant of a canonical
+            # label is a data defect, not a new category.
+            unknown = token not in SENTIMENT_CATEGORIES and token.lower() in SENTIMENT_CATEGORIES
+        if unknown:
+            lineno = linenos[np.argmax(token_idx == code)]
+            raise DataError(f"{path}:{lineno}: unknown label token {token!r}")
+    if categories is None:
+        inferred = set(tokens) <= set(SENTIMENT_CATEGORIES)
+        categories = SENTIMENT_CATEGORIES if inferred else tuple(tokens)
+    cats = tuple(categories)
+    rater_names, item_names = list(raters), list(items)
+
+    n_cells = len(raters) * len(items)
+    cell = rater_idx * len(items) + item_idx
+    present = np.zeros(n_cells, dtype=bool)
+    present[cell] = True
+    if np.count_nonzero(present) != len(cell):
+        seen: set[int] = set()
+        row = next(j for j, c in enumerate(cell.tolist()) if c in seen or seen.add(c))
+        rater, item = divmod(int(cell[row]), len(items))
+        raise DataError(
+            f"{path}:{linenos[row]}: duplicate cell for rater {rater_names[rater]!r}, "
+            f"item {item_names[item]!r}"
+        )
+    if len(cell) != n_cells:
+        rater, item = divmod(int(np.argmin(present)), len(items))
+        raise DataError(
+            f"{path}: incomplete matrix: rater {rater_names[rater]!r} has no label for "
+            f"item {item_names[item]!r}"
+        )
+    codes = np.empty(n_cells, dtype=np.int64)
+    codes[cell] = np.array([cats.index(t) for t in tokens])[token_idx]
+    return AnnotationMatrix(tuple(raters), tuple(items), cats, codes.reshape(-1, len(items)))

@@ -17,7 +17,6 @@ and 99.73% of observations for z = 1, 2, 3.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,7 +25,7 @@ from typing import Sequence, TextIO
 import numpy as np
 
 from kappasim.agreement import fleiss_kappa
-from kappasim.corpus import AnnotationMatrix, open_text_dest
+from kappasim.corpus import AnnotationMatrix, read_columns, write_table
 from kappasim.errors import DataError
 from kappasim.mc import ExperimentConfig, column_moments, run_experiment
 
@@ -174,43 +173,25 @@ def cv_percent(cv_n: float) -> float:
 def write_variation(table: VariationTable, dest: str | Path | TextIO | None) -> None:
     """Write the variation file: ``n,mu_bar,sigma_bar,cv,cv_percent`` rows;
     undefined cv rows carry ``nan``."""
-    with open_text_dest(dest) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(VARIATION_HEADER)
-        for j, n in enumerate(table.ns):
-            cv = float(table.cv[j])
-            if math.isfinite(cv):
-                cv_cells = (f"{cv:.6f}", f"{cv_percent(cv):.2f}")
-            else:
-                cv_cells = ("nan", "nan")
-            writer.writerow((n, f"{table.mu_bar[j]:.6f}", f"{table.sigma_bar[j]:.6f}", *cv_cells))
+
+    def cv_cells(cv: float) -> tuple[str, str]:
+        return (f"{cv:.6f}", f"{cv_percent(cv):.2f}") if math.isfinite(cv) else ("nan", "nan")
+
+    write_table(
+        dest,
+        VARIATION_HEADER,
+        (
+            (n, f"{mu:.6f}", f"{sigma:.6f}", *cv_cells(cv))
+            for n, mu, sigma, cv in zip(table.ns, table.mu_bar, table.sigma_bar, table.cv.tolist())
+        ),
+    )
 
 
 def read_variation(path: str | Path) -> tuple[tuple[int, float, float, float], ...]:
     """Read a variation file back as (n, mu_bar, sigma_bar, cv) rows."""
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"variation file not found: {path}")
-    rows: list[tuple[int, float, float, float]] = []
-    with open(path, encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader, ()))
-        if header != VARIATION_HEADER:
-            raise DataError(f"{path}: expected header '{','.join(VARIATION_HEADER)}'")
-        for lineno, record in enumerate(reader, 2):
-            if not record:
-                continue
-            if len(record) != len(VARIATION_HEADER):
-                raise DataError(f"{path}:{lineno}: malformed variation row")
-            try:
-                rows.append(
-                    (int(record[0]), float(record[1]), float(record[2]), float(record[3]))
-                )
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: malformed variation row") from None
-    if not rows:
-        raise DataError(f"{path}: no variation rows")
-    return tuple(rows)
+    kinds = ("int", "float", "float", "float_or_nan", "float_or_nan")
+    ns, mus, sigmas, cvs, _ = read_columns(path, VARIATION_HEADER, "variation", kinds)
+    return tuple(zip(ns.tolist(), mus.tolist(), sigmas.tolist(), cvs.tolist()))
 
 
 def write_intervals(
@@ -219,8 +200,8 @@ def write_intervals(
 ) -> None:
     """Write the intervals file: ``n,level,lower,upper`` rows, level as the
     empirical-rule percentage."""
-    with open_text_dest(dest) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(INTERVALS_HEADER)
-        for n, est in estimates:
-            writer.writerow((n, f"{est.percent:.2f}", f"{est.lower:.6f}", f"{est.upper:.6f}"))
+    write_table(
+        dest,
+        INTERVALS_HEADER,
+        ((n, f"{est.percent:.2f}", f"{est.lower:.6f}", f"{est.upper:.6f}") for n, est in estimates),
+    )

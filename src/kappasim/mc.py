@@ -16,14 +16,13 @@ m runs of a shorter one.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence, TextIO
 
 import numpy as np
 
-from kappasim.corpus import AnnotationMatrix, open_text_dest
+from kappasim.corpus import AnnotationMatrix, read_columns, write_table
 from kappasim.errors import DataError
 
 RUNS_HEADER = ("run_id", "n", "kappa")
@@ -271,100 +270,47 @@ def summarize(runs: RunSet) -> SubsetStats:
 
 def write_runs(runs: RunSet, dest: str | Path | TextIO | None) -> None:
     """Write the long-format runs file: ``run_id,n,kappa``, (k-1)*m rows."""
-    with open_text_dest(dest) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RUNS_HEADER)
-        ns = runs.ns
-        for run_id, kappas in enumerate(runs.kappas, 1):
-            for n, kappa in zip(ns, kappas):
-                writer.writerow((run_id, n, f"{kappa:.6f}"))
+    ns, table = runs.ns, enumerate(runs.kappas, 1)
+    write_table(
+        dest,
+        RUNS_HEADER,
+        ((r, n, f"{kappa:.6f}") for r, row in table for n, kappa in zip(ns, row.tolist())),
+    )
 
 
 def read_runs(path: str | Path) -> tuple[tuple[int, ...], np.ndarray]:
-    """Read a runs file back as (subset sizes, (m, k-1) kappa table)."""
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"runs file not found: {path}")
-    per_run: dict[int, list[tuple[int, float]]] = {}
-    with open(path, encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader, ()))
-        if header != RUNS_HEADER:
-            raise DataError(f"{path}: expected header 'run_id,n,kappa'")
-        for lineno, record in enumerate(reader, 2):
-            if not record:
-                continue
-            try:
-                rid, n, kappa = int(record[0]), int(record[1]), float(record[2])
-            except (ValueError, IndexError):
-                raise DataError(f"{path}:{lineno}: malformed runs row") from None
-            per_run.setdefault(rid, []).append((n, kappa))
-    if not per_run:
-        raise DataError(f"{path}: no runs")
-    first = sorted(per_run)[0]
-    ns = tuple(n for n, _ in per_run[first])
+    """Read a runs file back as (subset sizes, (m, k-1) kappa table).
+
+    Rows may appear in any order; table rows follow ascending run id and
+    each run's kappas keep their file order.
+    """
+    rids, ns_col, kappas = read_columns(path, RUNS_HEADER, "runs", ("int", "int", "float"))
+    order = np.argsort(rids, kind="stable")
+    run_ids, counts = np.unique(rids, return_counts=True)
+    ns_by_run = ns_col[order]
+    ns = tuple(ns_by_run[: counts[0]].tolist())
     if ns != tuple(range(2, len(ns) + 2)):
         raise DataError(f"{path}: subset sizes must run 2..k in order")
-    table = np.empty((len(per_run), len(ns)))
-    for row, rid in enumerate(sorted(per_run)):
-        if tuple(n for n, _ in per_run[rid]) != ns:
-            raise DataError(f"{path}: run {rid} does not cover subset sizes 2..k")
-        table[row] = [kappa for _, kappa in per_run[rid]]
-    return ns, table
+    ok = counts == len(ns)
+    starts = (np.cumsum(counts) - counts)[ok]
+    ok[ok] = (ns_by_run[starts[:, None] + np.arange(len(ns))] == ns).all(axis=1)
+    if not ok.all():
+        raise DataError(f"{path}: run {run_ids[np.argmin(ok)]} does not cover subset sizes 2..k")
+    return ns, kappas[order].reshape(len(run_ids), len(ns))
 
 
 def write_stats(stats: SubsetStats, dest: str | Path | TextIO | None) -> None:
     """Write the stats file: one ``n,min,q1,median,q3,max,mean,std`` row per n."""
-    with open_text_dest(dest) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(STATS_HEADER)
-        for j, n in enumerate(stats.ns):
-            writer.writerow(
-                (
-                    n,
-                    f"{stats.mins[j]:.6f}",
-                    f"{stats.q1s[j]:.6f}",
-                    f"{stats.medians[j]:.6f}",
-                    f"{stats.q3s[j]:.6f}",
-                    f"{stats.maxs[j]:.6f}",
-                    f"{stats.means[j]:.6f}",
-                    f"{stats.stds[j]:.6f}",
-                )
-            )
+    columns = (stats.mins, stats.q1s, stats.medians, stats.q3s, stats.maxs, stats.means, stats.stds)
+    write_table(
+        dest,
+        STATS_HEADER,
+        ((n, *(f"{v:.6f}" for v in values)) for n, *values in zip(stats.ns, *columns)),
+    )
 
 
 def read_stats(path: str | Path) -> SubsetStats:
     """Read a stats file back into a SubsetStats."""
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"stats file not found: {path}")
-    rows: list[tuple[float, ...]] = []
-    ns: list[int] = []
-    with open(path, encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader, ()))
-        if header != STATS_HEADER:
-            raise DataError(f"{path}: expected header '{','.join(STATS_HEADER)}'")
-        for lineno, record in enumerate(reader, 2):
-            if not record:
-                continue
-            if len(record) != len(STATS_HEADER):
-                raise DataError(f"{path}:{lineno}: malformed stats row")
-            try:
-                ns.append(int(record[0]))
-                rows.append(tuple(float(v) for v in record[1:]))
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: malformed stats row") from None
-    if not rows:
-        raise DataError(f"{path}: no stats rows")
-    data = np.asarray(rows)
-    return SubsetStats(
-        ns=tuple(ns),
-        mins=data[:, 0],
-        q1s=data[:, 1],
-        medians=data[:, 2],
-        q3s=data[:, 3],
-        maxs=data[:, 4],
-        means=data[:, 5],
-        stds=data[:, 6],
-    )
+    kinds = ("int",) + ("float",) * (len(STATS_HEADER) - 1)
+    ns, *columns = read_columns(path, STATS_HEADER, "stats", kinds)
+    return SubsetStats(tuple(ns.tolist()), *columns)

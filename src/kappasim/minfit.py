@@ -20,7 +20,6 @@ Marquardt flavor) with a finite-difference Jacobian.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -29,7 +28,7 @@ from typing import Mapping, Sequence, TextIO
 
 import numpy as np
 
-from kappasim.corpus import open_text_dest
+from kappasim.corpus import read_columns, write_table
 from kappasim.errors import DataError
 from kappasim.mc import SubsetStats
 
@@ -124,6 +123,11 @@ def _resolve(
     return float(a), float(b), float(c), float(d)
 
 
+def _curve(n: np.ndarray, a: float, b: float, c: float, d: float) -> np.ndarray:
+    """The model family g(n) = a*(n - d)/(b + n - d) + c."""
+    return a * (n - d) / (b + n - d) + c
+
+
 def stage_model(
     stage: str,
     n: float | np.ndarray,
@@ -144,7 +148,7 @@ def stage_model(
     denom = b + n_arr - d
     if np.any(np.abs(denom) < _POLE_EPS):
         raise DataError(f"model pole at evaluated subset size (b={b}, d={d})")
-    value = a * (n_arr - d) / denom + c
+    value = _curve(n_arr, a, b, c, d)
     return float(value) if np.isscalar(n) or n_arr.ndim == 0 else value
 
 
@@ -163,8 +167,7 @@ def eval_min_model(n: float | np.ndarray, k: float, kappa_hat: float) -> float |
     n_arr = np.asarray(n, dtype=np.float64)
     if np.any(n_arr < 2) or np.any(n_arr > k):
         raise DataError(f"subset size must lie within 2..{k}")
-    value = 2.0 * kappa_hat * (n_arr - 2) / (k / 10 + n_arr - 2) - kappa_hat
-    return float(value) if np.isscalar(n) or n_arr.ndim == 0 else value
+    return stage_model("S0", n, math.nan, math.nan, math.nan, math.nan, kappa_hat, k)
 
 
 def r_squared(observed: Sequence[float], predicted: Sequence[float]) -> float:
@@ -255,8 +258,7 @@ def fit(
         return not np.any(np.abs(b + ns - d) < _POLE_EPS)
 
     def predict(theta: np.ndarray) -> np.ndarray:
-        a, b, c, d = full_params(theta)
-        return a * (ns - d) / (b + ns - d) + c
+        return _curve(ns, *full_params(theta))
 
     def sse_of(theta: np.ndarray) -> tuple[float, np.ndarray]:
         residuals = ys - predict(theta)
@@ -368,29 +370,10 @@ def fit_report_json(result: ModelFit) -> str:
 
 def write_minima(points: MinPoints, dest: str | Path | TextIO | None) -> None:
     """Write the minima file: ``n,min_kappa``, one row per point."""
-    with open_text_dest(dest) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(MINIMA_HEADER)
-        for n, y in points.points:
-            writer.writerow((n, f"{y:.6f}"))
+    write_table(dest, MINIMA_HEADER, ((n, f"{y:.6f}") for n, y in points.points))
 
 
 def read_minima(path: str | Path) -> tuple[tuple[int, float], ...]:
     """Read a minima file back as (n, min kappa) pairs."""
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"minima file not found: {path}")
-    pairs: list[tuple[int, float]] = []
-    with open(path, encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader, ()))
-        if header != MINIMA_HEADER:
-            raise DataError(f"{path}: expected header 'n,min_kappa'")
-        for lineno, record in enumerate(reader, 2):
-            if not record:
-                continue
-            try:
-                pairs.append((int(record[0]), float(record[1])))
-            except (ValueError, IndexError):
-                raise DataError(f"{path}:{lineno}: malformed minima row") from None
-    return tuple(pairs)
+    ns, ys = read_columns(path, MINIMA_HEADER, "minima", ("int", "float"))
+    return tuple(zip(ns.tolist(), ys.tolist()))

@@ -1,6 +1,7 @@
 """End-to-end command tests, run in-process through ``main``."""
 
 import json
+import warnings
 
 import pytest
 
@@ -260,6 +261,14 @@ class TestFit:
     def test_k_must_match_stats_when_kappa_hat_inferred(self, experiment_files, capsys):
         _, stats = experiment_files
         assert main(["fit", "--stats", str(stats), "--k", "5"]) == 2
+
+    def test_non_finite_runs_are_rejected_without_warnings(self, tmp_path, capsys):
+        runs = tmp_path / "runs.csv"
+        runs.write_text("run_id,n,kappa\n1,2,nan\n1,3,inf\n", encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["fit", "--runs", str(runs)]) == 2
+        assert f"{runs}:2: malformed runs row" in capsys.readouterr().err
 
 
 class TestMinModel:
