@@ -8,7 +8,7 @@ agreement on item i is the fraction of concordant rater pairs,
 
 and the overall observed agreement is the mean P-bar = (1/N) sum_i P_i.
 Expected chance agreement uses the marginal category proportions
-p_j = sum_i n_ij / (N * n):
+p_j = T_j / (N * n), where T_j = sum_i n_ij is the category total:
 
     P-bar_e = sum_j p_j^2.
 
@@ -16,12 +16,27 @@ Kappa is the chance-corrected ratio
 
     kappa = (P-bar - P-bar_e) / (1 - P-bar_e),
 
-which is 1 at perfect agreement and <= 0 at or below chance level. When
-every rating in the whole grid lands in a single category, both P-bar and
-P-bar_e equal 1 and the ratio is 0/0; that unanimous case is reported as
-kappa = 1 with ``degenerate=True``. The degenerate test is structural
-(exactly one category column has nonzero counts), not a floating-point
-comparison against 1.
+which is 1 at perfect agreement and <= 0 at or below chance level.
+
+P-bar is the mean pairwise agreement (Fleiss 1971; Conger 1980): with
+G[r, s] the number of items on which raters r and s agree,
+S = sum_i sum_j n_ij^2 = sum_{r,s} G[r, s] over ordered pairs, the n
+self-pairs included. Clearing the denominators leaves two integers,
+
+    num = (S - N*n) * N*n - (n - 1) * T2,
+    den = (n - 1) * ((N*n)^2 - T2),      T2 = sum_j T_j^2,
+
+and kappa = num / den. Every path (the whole matrix here, every prefix of
+every ordering in :mod:`kappasim.mc`) computes S and T2 exactly and makes
+this one division, so each value is the correctly rounded exact rational
+and the paths agree bitwise. |num| and den are at most N^2 * n^3: the
+whole-matrix path sums S and T2 and divides in Python ints, which have no
+limit (its int64 per-item squares n_ij^2 are exact for n < 3 * 10^9); the
+batched prefix path divides int64 values converted to float64, which is
+exact only below 2^53, so it computes in Python ints from that bound on.
+
+den is 0 exactly when every rating lands in a single category; the ratio
+is then 0/0 and is reported as kappa = 1 with ``degenerate=True``.
 """
 
 from __future__ import annotations
@@ -46,6 +61,25 @@ class KappaValue:
     p_bar: float
     p_bar_e: float
     degenerate: bool = False
+
+
+def _kappa(S, T2, N, n):
+    """Kappa from the pair sum S, the squared category totals T2, N items
+    and n raters (see the module docstring), with its degenerate flag.
+
+    Takes Python ints, or arrays of int64 or of Python ints (object)
+    elementwise; returns (float, bool) or (float64 array, bool array).
+    """
+    total = N * n
+    num = (S - total) * total - (n - 1) * T2
+    den = (n - 1) * (total * total - T2)
+    degenerate = den == 0
+    if np.ndim(den) == 0:
+        return (1.0 if degenerate else num / den), bool(degenerate)
+    kappa = np.ones(np.shape(den))
+    live = ~degenerate
+    kappa[live] = num[live] / den[live]
+    return kappa, degenerate
 
 
 def kappa_from_counts(counts: np.ndarray) -> KappaValue:
@@ -81,14 +115,12 @@ def kappa_from_counts(counts: np.ndarray) -> KappaValue:
     p_j = col_sums / (n_items * n)
     p_bar_e = float(np.sum(p_j**2))
 
-    if np.count_nonzero(col_sums) == 1:
-        return KappaValue(kappa=1.0, p_bar=p_bar, p_bar_e=p_bar_e, degenerate=True)
-    return KappaValue(
-        kappa=float((p_bar - p_bar_e) / (1.0 - p_bar_e)),
-        p_bar=p_bar,
-        p_bar_e=p_bar_e,
-        degenerate=False,
-    )
+    # S and T2 summed in Python ints, which cannot overflow, so kappa is
+    # the exact ratio rounded once however large the table.
+    S = sum(sq.tolist())
+    T2 = sum(t * t for t in col_sums.tolist())
+    kappa, degenerate = _kappa(S, T2, n_items, n)
+    return KappaValue(kappa=kappa, p_bar=p_bar, p_bar_e=p_bar_e, degenerate=degenerate)
 
 
 def fleiss_kappa(matrix: AnnotationMatrix) -> KappaValue:

@@ -11,9 +11,10 @@ import csv
 import itertools
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
@@ -57,8 +58,10 @@ def read_table(
 ) -> Iterator[tuple[Sequence[int], list[list[str]]]]:
     """Read a CSV table with exactly ``header`` as its first row.
 
-    Yields the data rows in chunks, as (line numbers, string fields), so
+    Yields the data rows in chunks, as (record numbers, string fields), so
     that memory holds one chunk of the file's strings, not all of them.
+    Records are numbered from 1 for the header; :func:`_row_error` turns a
+    record number into the line it starts on.
     UTF-8 with an optional BOM; blank rows are skipped. Raises
     :class:`DataError` for a different header, a row without exactly one
     field per header column, or a file with no data rows; ``what`` names
@@ -71,21 +74,33 @@ def read_table(
         reader = csv.reader(fh)
         if tuple(h.strip() for h in next(reader, ())) != tuple(header):
             raise DataError(f"{path}: expected header '{','.join(header)}'")
-        empty, next_line = True, 2
+        empty, next_record = True, 2
         while rows := list(itertools.islice(reader, _CHUNK_ROWS)):
-            linenos: Sequence[int] = range(next_line, next_line + len(rows))
-            next_line += len(rows)
+            records: Sequence[int] = range(next_record, next_record + len(rows))
+            next_record += len(rows)
             if not all(rows):  # a blank line reads as []
-                linenos = [lineno for lineno, row in zip(linenos, rows) if row]
+                records = [record for record, row in zip(records, rows) if row]
                 rows = [row for row in rows if row]
             if set(map(len, rows)) - {len(header)}:
                 bad = next(i for i, row in enumerate(rows) if len(row) != len(header))
-                raise DataError(f"{path}:{linenos[bad]}: malformed {what} row")
+                raise _row_error(path, records[bad], f"malformed {what} row")
             if rows:
                 empty = False
-                yield linenos, rows
+                yield records, rows
     if empty:
         raise DataError(f"{path}: no {what} rows")
+
+
+def _row_error(path: str | Path, record: int, message: str) -> DataError:
+    """A ``path:line: message`` error for CSV record number ``record``
+    (the header is record 1), naming the physical line the record starts
+    on. A quoted field may span lines, so the file is rescanned to count
+    them; that happens only here, on the error path."""
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
+        for _ in itertools.islice(reader, record - 1):
+            pass
+        return DataError(f"{path}:{reader.line_num + 1}: {message}")
 
 
 # How read_columns parses each kind of column, and the check its values
@@ -116,7 +131,7 @@ def read_columns(
     bad cell raises :class:`DataError` naming its line.
     """
     chunks: list[list[np.ndarray]] = [[] for _ in kinds]
-    for linenos, rows in read_table(path, header, what):
+    for records, rows in read_table(path, header, what):
         try:
             for j, (kind, column) in enumerate(zip(kinds, chunks)):
                 parse, check = _COLUMN_KINDS[kind]
@@ -126,7 +141,7 @@ def read_columns(
                 column.append(values)
         except ValueError:
             bad = next(i for i, row in enumerate(rows) if not all(map(_cell_ok, kinds, row)))
-            raise DataError(f"{path}:{linenos[bad]}: malformed {what} row") from None
+            raise _row_error(path, records[bad], f"malformed {what} row") from None
     return [np.concatenate(column) for column in chunks]
 
 
@@ -145,10 +160,13 @@ class AnnotationMatrix:
     items: tuple[str, ...]
     categories: tuple[str, ...]
     codes: np.ndarray
+    rater_rows: Mapping[str, int] = field(init=False, repr=False)  # rater -> row of codes
 
     def __post_init__(self) -> None:
-        if len(set(self.raters)) != len(self.raters):
+        rows = {r: i for i, r in enumerate(self.raters)}
+        if len(rows) != len(self.raters):
             raise DataError("rater identifiers must be unique")
+        object.__setattr__(self, "rater_rows", MappingProxyType(rows))
         if len(set(self.items)) != len(self.items):
             raise DataError("item identifiers must be unique")
         if len(set(self.categories)) != len(self.categories):
@@ -201,8 +219,16 @@ class AnnotationMatrix:
                 codes[r, i] = cat_index[token]
         return cls(tuple(raters), tuple(items), tuple(categories), codes)
 
+    def rows(self, raters: Iterable[str]) -> list[int]:
+        """Row of ``codes`` for each rater; ValueError, as from
+        ``tuple.index``, for a rater not in the matrix."""
+        try:
+            return [self.rater_rows[r] for r in raters]
+        except KeyError:
+            raise ValueError("tuple.index(x): x not in tuple") from None
+
     def label(self, rater: str, item: str) -> str:
-        return self.categories[self.codes[self.raters.index(rater), self.items.index(item)]]
+        return self.categories[self.codes[self.rows((rater,))[0], self.items.index(item)]]
 
     def counts(self) -> np.ndarray:
         """Per-item category counts over all raters, shape (items, categories)."""
@@ -212,7 +238,7 @@ class AnnotationMatrix:
 
     def subset(self, raters: Sequence[str]) -> "AnnotationMatrix":
         """Matrix restricted to the given raters (>= 2), original items/categories."""
-        idx = [self.raters.index(r) for r in raters]
+        idx = self.rows(raters)
         return AnnotationMatrix(tuple(raters), self.items, self.categories, self.codes[idx])
 
     def __eq__(self, other: object) -> bool:
@@ -523,7 +549,7 @@ def read_matrix(path: str | Path, categories: Sequence[str] | None = None) -> An
     distinct tokens in first-appearance order.
     """
     # Number raters, items and tokens by first appearance: dict lookups
-    # keep the read linear, and four integer columns (line, rater, item,
+    # keep the read linear, and four integer columns (record, rater, item,
     # token) replace the strings of every cell.
     raters: dict[str, int] = {}
     items: dict[str, int] = {}
@@ -531,15 +557,15 @@ def read_matrix(path: str | Path, categories: Sequence[str] | None = None) -> An
     chunks = [
         np.array(
             [
-                linenos,
+                records,
                 [raters.setdefault(r, len(raters)) for r, _, _ in rows],
                 [items.setdefault(i, len(items)) for _, i, _ in rows],
                 [tokens.setdefault(t, len(tokens)) for _, _, t in rows],
             ]
         )
-        for linenos, rows in read_table(path, MATRIX_HEADER, "matrix")
+        for records, rows in read_table(path, MATRIX_HEADER, "matrix")
     ]
-    linenos, rater_idx, item_idx, token_idx = np.concatenate(chunks, axis=1)
+    records, rater_idx, item_idx, token_idx = np.concatenate(chunks, axis=1)
 
     for token, code in tokens.items():  # in first-appearance order
         if categories is not None:
@@ -549,8 +575,8 @@ def read_matrix(path: str | Path, categories: Sequence[str] | None = None) -> An
             # label is a data defect, not a new category.
             unknown = token not in SENTIMENT_CATEGORIES and token.lower() in SENTIMENT_CATEGORIES
         if unknown:
-            lineno = linenos[np.argmax(token_idx == code)]
-            raise DataError(f"{path}:{lineno}: unknown label token {token!r}")
+            record = int(records[np.argmax(token_idx == code)])
+            raise _row_error(path, record, f"unknown label token {token!r}")
     if categories is None:
         inferred = set(tokens) <= set(SENTIMENT_CATEGORIES)
         categories = SENTIMENT_CATEGORIES if inferred else tuple(tokens)
@@ -565,9 +591,10 @@ def read_matrix(path: str | Path, categories: Sequence[str] | None = None) -> An
         seen: set[int] = set()
         row = next(j for j, c in enumerate(cell.tolist()) if c in seen or seen.add(c))
         rater, item = divmod(int(cell[row]), len(items))
-        raise DataError(
-            f"{path}:{linenos[row]}: duplicate cell for rater {rater_names[rater]!r}, "
-            f"item {item_names[item]!r}"
+        raise _row_error(
+            path,
+            int(records[row]),
+            f"duplicate cell for rater {rater_names[rater]!r}, item {item_names[item]!r}",
         )
     if len(cell) != n_cells:
         rater, item = divmod(int(np.argmin(present)), len(items))

@@ -7,6 +7,12 @@ n raters of the ordering. The final value kappa_k does not depend on the
 ordering, so it is the team's overall agreement kappa-hat; the spread of
 the earlier prefix values is the object of study.
 
+The prefix values come from the team's rater x rater agreement counts
+(Gram matrix) and per-rater category totals, tabulated once per team:
+each prefix is a pair of integer cumulative sums and one division, the
+same exact formula as the whole-matrix kappa (:mod:`kappasim.agreement`).
+All m orderings are drawn first and then computed in one batch.
+
 Determinism contract: the team draw consumes a root stream seeded with
 ``seed``; run r draws its ordering from an independent child stream keyed
 by ``(seed, r)``. Results are therefore bit-identical on every
@@ -22,6 +28,7 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
+from kappasim.agreement import _kappa
 from kappasim.corpus import AnnotationMatrix, read_columns, write_table
 from kappasim.errors import DataError
 
@@ -139,29 +146,59 @@ def sample_team(matrix: AnnotationMatrix, k: int, rng: np.random.Generator) -> t
     return tuple(matrix.raters[i] for i in idx)
 
 
-def _prefix_kappas_from_codes(codes: np.ndarray, n_categories: int) -> np.ndarray:
-    """Agreement of every prefix of the given rater ordering.
+# Size of the temporaries of the batched prefix kernel: it works through
+# items (Gram matrix) and orderings (prefix sums) in blocks of about 1 MB.
+_BLOCK_BYTES = 1 << 20
 
-    codes is the (k, items) label-code grid in ordering order. A running
-    cumulative sum over the rater axis yields the per-item category counts
-    of every prefix at once; the kappa arithmetic then runs batched over
-    prefix sizes n = 2..k. Counts stay integral until the final divisions,
-    so the full-prefix value is bitwise identical to the single-matrix
-    computation and independent of the ordering.
+# Integers below this convert to float64 exactly. A prefix kappa's
+# numerator and denominator are at most items^2 * k^3; from this bound on
+# the kernel computes in Python ints, so its division stays correctly
+# rounded.
+_FLOAT_EXACT = 2**53
+
+
+def _gram(codes: np.ndarray, n_categories: int) -> np.ndarray:
+    """G[r, s]: the number of items on which raters r and s agree, from a
+    (k, items) label-code grid."""
+    k = len(codes)
+    by_item = np.ascontiguousarray(codes.T, dtype=np.min_scalar_type(n_categories - 1))
+    gram = np.zeros((k, k), dtype=np.int64)
+    step = max(1, _BLOCK_BYTES // (k * k))
+    for start in range(0, len(by_item), step):
+        block = by_item[start : start + step]
+        gram += (block[:, :, None] == block[:, None, :]).sum(axis=0, dtype=np.int32)
+    return gram
+
+
+def _prefix_kappas(codes: np.ndarray, n_categories: int, perms: np.ndarray) -> np.ndarray:
+    """kappa_2..kappa_k of every prefix of every ordering, shape (m, k-1).
+
+    ``codes`` is the team's (k, items) label-code grid and row r of
+    ``perms`` an ordering of its rows. Two tables are built once: the Gram
+    matrix G (:func:`_gram`) and the per-rater category totals C[r, :].
+    For the first n raters of an ordering, S is the sum of G over the
+    leading n x n block, accumulated as each rater's agreements with
+    itself and with the raters before it, and T is the cumulative sum of
+    C. Both stay integers until :func:`kappasim.agreement._kappa` makes
+    its one division, so the full prefix equals the whole-team kappa
+    bitwise, whatever the ordering.
     """
     k, n_items = codes.shape
-    onehot = (codes[:, :, None] == np.arange(n_categories)[None, None, :]).astype(np.int64)
-    counts = np.cumsum(onehot, axis=0)[1:]
-    ns = np.arange(2, k + 1, dtype=np.int64)[:, None]
-    sq = np.sum(counts * counts, axis=2)
-    p_i = (sq - ns) / (ns * (ns - 1))
-    p_bar = p_i.sum(axis=1) / n_items
-    col = counts.sum(axis=1)
-    p_j = col / (n_items * ns)
-    p_bar_e = np.sum(p_j * p_j, axis=1)
-    kappas = np.ones(k - 1)
-    live = np.count_nonzero(col, axis=1) != 1
-    kappas[live] = (p_bar[live] - p_bar_e[live]) / (1.0 - p_bar_e[live])
+    gram = _gram(codes, n_categories)
+    totals = (codes[:, :, None] == np.arange(n_categories)).sum(axis=1)
+    ns = np.arange(2, k + 1)
+    if n_items * n_items * k**3 >= _FLOAT_EXACT:
+        gram, totals, ns = gram.astype(object), totals.astype(object), ns.astype(object)
+    lower = np.tri(k, dtype=bool)
+    kappas = np.empty((len(perms), k - 1))
+    step = max(1, _BLOCK_BYTES // (8 * k * k))
+    for start in range(0, len(perms), step):
+        p = perms[start : start + step]
+        pairs = gram[p[:, :, None], p[:, None, :]]
+        S = np.cumsum(2 * (pairs * lower).sum(axis=2) - n_items, axis=1)
+        T = np.cumsum(totals[p], axis=1)
+        T2 = (T * T).sum(axis=2)
+        kappas[start : start + step] = _kappa(S[:, 1:], T2[:, 1:], n_items, ns)[0]
     return kappas
 
 
@@ -178,35 +215,34 @@ def prefix_kappas(
     if sorted(team) != sorted(ordering):
         raise DataError("ordering must be a permutation of the team")
     try:
-        idx = [matrix.raters.index(r) for r in ordering]
+        idx = matrix.rows(ordering)
     except ValueError as exc:
         raise DataError(f"unknown rater in team: {exc}") from None
-    return _prefix_kappas_from_codes(matrix.codes[idx], len(matrix.categories))
+    perm = np.arange(len(idx))[None, :]
+    return _prefix_kappas(matrix.codes[idx], len(matrix.categories), perm)[0]
 
 
 def run_experiment(matrix: AnnotationMatrix, config: ExperimentConfig) -> RunSet:
     """Execute the full experiment: one team, m ordering progressions.
 
     Pure function of (matrix, config): run r's ordering comes from its own
-    child stream, so no run depends on another.
+    child stream, so no run depends on another. The orderings are drawn
+    first, then all m progressions are computed in one batch.
     """
     root = np.random.default_rng(np.random.SeedSequence(config.seed))
     if config.team is not None:
-        missing = [r for r in config.team if r not in matrix.raters]
+        missing = [r for r in config.team if r not in matrix.rater_rows]
         if missing:
             raise DataError(f"team members not in matrix: {', '.join(missing)}")
         team = tuple(config.team)
     else:
         team = sample_team(matrix, config.k, root)
-    idx = [matrix.raters.index(r) for r in team]
-    codes = matrix.codes[idx]
-    n_categories = len(matrix.categories)
     perms = np.empty((config.m, config.k), dtype=np.int64)
-    kappas = np.empty((config.m, config.k - 1))
     for row in range(config.m):
         rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(row + 1,)))
         perms[row] = rng.permutation(config.k)
-        kappas[row] = _prefix_kappas_from_codes(codes[perms[row]], n_categories)
+    codes = matrix.codes[matrix.rows(team)]
+    kappas = _prefix_kappas(codes, len(matrix.categories), perms)
     return RunSet(
         config=config, team=team, kappa_hat=float(kappas[0, -1]), perms=perms, kappas=kappas
     )

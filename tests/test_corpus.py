@@ -63,6 +63,25 @@ class TestAnnotationMatrix:
         assert sub.items == m.items
         assert sub.label("c", "s1") == "negative"
 
+    def test_rater_rows_lookup(self):
+        m = small_matrix()
+        assert dict(m.rater_rows) == {"a": 0, "b": 1, "c": 2}
+        assert m.rows(("c", "a", "c")) == [2, 0, 2]
+        with pytest.raises(TypeError):
+            m.rater_rows["d"] = 3  # read-only view
+
+    def test_unknown_rater_errors_unchanged(self):
+        # the same ValueError, message included, as the tuple.index scans
+        m = small_matrix()
+        with pytest.raises(ValueError) as old:
+            m.raters.index("zz")
+        for call in (lambda: m.rows(["a", "zz"]), lambda: m.subset(("a", "zz")),
+                     lambda: m.label("zz", "s1")):
+            with pytest.raises(ValueError) as new:
+                call()
+            assert type(new.value) is ValueError
+            assert str(new.value) == str(old.value)
+
     def test_incomplete_rejected(self):
         labels = {("a", "s1"): "positive", ("b", "s1"): "neutral"}
         with pytest.raises(DataError, match="incomplete"):

@@ -11,10 +11,14 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+from fractions import Fraction
 
 import pytest
 
+from kappasim import ExperimentConfig, fleiss_kappa, generate_synthetic, run_experiment
 from kappasim.cli import main
+
+from conftest import kappa_fraction
 
 MAPPING = """\
 computer_scientist_col = cs
@@ -35,9 +39,9 @@ r4,Yes,Yes,Negative,Negative,Neutral
 
 GOLDEN = {
     "matrix.csv": "7f5f494f99d526d4477c9bcc7080c9da5c75568a6f8a72bc4ec9bbe5f83909df",
-    "kappa.stdout": "171b8c61a5925ee9cc1092a0da1057feeb7aefe0969a731cde5f06129382ce4b",
+    "kappa.stdout": "aa4c6b00cfb298ef5b9e4dcc05a7da21e3c2bd7a301ed4f756c101a4e304e653",
     "simulate.stdout": "e6166247d8f6354d6e897f6fd3c352d3efcc8139871ae378c083d0cd2296d9bf",
-    "runs.csv": "dd65ba0072a577fa25975e1716c573e750b71cfe4bb6d0faf686dc0ed4c55a19",
+    "runs.csv": "5901e532a888a459c9169112eb5f7db26ad716534b9517140b23f70b97a33450",
     "stats.csv": "d1bcf801f8f2b111707f3230fd20588fb5bf5a6115d59eadf716fbae1d86a6ff",
     "fit_S0.stdout": "7ec773aa4fee70eb3ed8e6630a6ac73559f3d39d78c13e2a5005c9d714569865",
     "minima_S0.csv": "468de92521915885065f07ef2b3e7be7627d7505db925d88ccc63c78efbd40dd",
@@ -90,3 +94,19 @@ def outputs(tmp_path_factory) -> dict[str, bytes]:
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_output_digest(outputs, name):
     assert hashlib.sha256(outputs[name]).hexdigest() == GOLDEN[name]
+
+
+def test_moved_digits_are_the_exact_rationals(outputs):
+    # the two values whose printed digits moved when kappa became one
+    # integer division are the correctly rounded exact rationals
+    matrix = generate_synthetic(raters=7, items=8, noise=0.4, seed=5)
+    want, _ = kappa_fraction(matrix.counts())
+    assert b'"kappa": 0.30158730158730157,' in outputs["kappa.stdout"]
+    assert fleiss_kappa(matrix).kappa == float(want) == 0.30158730158730157
+
+    runs = run_experiment(matrix, ExperimentConfig(k=6, m=20, seed=3))
+    first_five = [runs.team[p] for p in runs.perms[17][:5]]  # run 18, n=5
+    want, _ = kappa_fraction(matrix.subset(first_five).counts())
+    assert want == Fraction(43, 128)
+    assert runs.kappas[17][3] == float(want) == 0.3359375
+    assert outputs["runs.csv"].split(b"\n")[89] == b"18,5,0.335938"  # line 90

@@ -99,6 +99,16 @@ class TestPrefixKappas:
         assert k1[0] == k2[0]  # n=2 untouched
         assert k1[1] != k2[1] and k1[2] != k2[2]
 
+    def test_unknown_rater_messages_unchanged(self, twin_matrix):
+        # the rater->row mapping keeps the messages of the tuple.index scans
+        team = ("p01", "nobody", "p02", "none")
+        message = "^unknown rater in team: tuple.index\\(x\\): x not in tuple$"
+        with pytest.raises(DataError, match=message):
+            prefix_kappas(twin_matrix, team, team[::-1])
+        cfg = ExperimentConfig(k=4, m=2, seed=1, team=team)
+        with pytest.raises(DataError, match="^team members not in matrix: nobody, none$"):
+            run_experiment(twin_matrix, cfg)
+
     def test_ordering_must_permute_team(self, twin_matrix):
         team = twin_matrix.raters[:4]
         with pytest.raises(DataError, match="permutation"):

@@ -147,6 +147,37 @@ def test_first_malformed_line_is_named(tmp_path):
         read_runs(path)
 
 
+@pytest.mark.parametrize("defect", ["extra field", "bad value"])
+def test_error_names_the_physical_line_after_a_multi_line_field(table, defect):
+    what, reader, header, rows, path = table
+    if defect == "extra field":
+        bad, message = rows[1] + ",junk", f"malformed {what} row"
+    elif what == "matrix":
+        bad, message = rows[1].replace("neutral", "Positive"), "unknown label token 'Positive'"
+    else:
+        bad, message = rows[1].rsplit(",", 1)[0] + ",zzz", f"malformed {what} row"
+    # the first header cell is quoted over lines 1-3 (spaces around header
+    # cells are ignored), so the bad row is CSV record 4 on line 6
+    first, rest = header.split(",", 1)
+    write_lines(path, [f'"{first}\n\n",{rest}', rows[0], "", bad])
+    with pytest.raises(DataError, match=re.escape(f"{path}:6: {message}")):
+        reader(path)
+
+
+def test_matrix_errors_name_the_physical_line_after_multi_line_ids(tmp_path):
+    two_lines = '"a\nb"'
+    path = write_lines(
+        tmp_path / "ml.csv",
+        ["rater,item,label", f"{two_lines},s1,positive", f"{two_lines},s2,neutral",
+         "c,s1,neutral", "", "c,s2,Positive"],
+    )
+    with pytest.raises(DataError, match=re.escape(f"{path}:8: unknown label token 'Positive'")):
+        read_matrix(path)
+    write_lines(path, ["rater,item,label", f"{two_lines},s1,positive", f"{two_lines},s1,neutral"])
+    with pytest.raises(DataError, match=re.escape(f"{path}:4: duplicate cell for rater 'a\\nb'")):
+        read_matrix(path)
+
+
 def test_nan_marks_undefined_cv(tmp_path):
     path = write_lines(
         tmp_path / "variation.csv",
