@@ -13,7 +13,7 @@ import dataclasses
 import json
 import math
 import sys
-from typing import NoReturn, Sequence
+from typing import Iterable, NoReturn, Sequence
 
 from kappasim import __version__
 from kappasim.corpus import (
@@ -28,6 +28,7 @@ from kappasim.corpus import (
 )
 from kappasim.agreement import fleiss_kappa
 from kappasim.dispersion import (
+    IntervalEstimate,
     VariationConfig,
     interval_estimate,
     read_variation,
@@ -197,6 +198,19 @@ def _cmd_minmodel(args: argparse.Namespace) -> int:
     return 0
 
 
+def _interval_rows(
+    kappa_hat: float, rows_of_n_cv: Iterable[tuple[int, float]], zs: Sequence[int]
+) -> list[tuple[int, IntervalEstimate]]:
+    """(n, interval) rows per (n, cv) and z, skipping (with a note) undefined cv."""
+    rows = []
+    for n, cv in rows_of_n_cv:
+        if not math.isfinite(cv):
+            print(f"kappasim: cv undefined at n={n}, skipped", file=sys.stderr)
+            continue
+        rows.extend((n, interval_estimate(kappa_hat, cv, z)) for z in zs)
+    return rows
+
+
 def _cmd_variation(args: argparse.Namespace) -> int:
     matrix = read_matrix(args.input)
     config = VariationConfig(k=args.k, m=args.m, j=args.j, seed=args.seed)
@@ -205,32 +219,20 @@ def _cmd_variation(args: argparse.Namespace) -> int:
     print(f"mean team kappa_hat = {table.mean_team_kappa_hat:.6f}", file=sys.stderr)
     write_variation(table, args.out)
     if args.intervals_out:
-        rows = []
-        for idx, n in enumerate(table.ns):
-            cv = float(table.cv[idx])
-            if not math.isfinite(cv):
-                print(f"kappasim: cv undefined at n={n}, skipped", file=sys.stderr)
-                continue
-            rows.extend((n, interval_estimate(table.dataset_kappa_hat, cv, z)) for z in (1, 2, 3))
+        rows = _interval_rows(table.dataset_kappa_hat, zip(table.ns, table.cv.tolist()), (1, 2, 3))
         write_intervals(rows, args.intervals_out)
     return 0
 
 
 def _cmd_intervals(args: argparse.Namespace) -> int:
     if args.variation:
-        source = read_variation(args.variation)
+        pairs = [(n, cv) for n, _, _, cv in read_variation(args.variation)]
     else:
         if args.n is None:
             print("kappasim: error: --n is required with --cv", file=sys.stderr)
             return 1
-        source = ((args.n, math.nan, math.nan, args.cv),)
-    rows = []
-    for n, _, _, cv in source:
-        if not math.isfinite(cv):
-            print(f"kappasim: cv undefined at n={n}, skipped", file=sys.stderr)
-            continue
-        rows.extend((n, interval_estimate(args.kappa_hat, cv, z)) for z in args.z)
-    write_intervals(rows, args.out)
+        pairs = [(args.n, args.cv)]
+    write_intervals(_interval_rows(args.kappa_hat, pairs, args.z), args.out)
     return 0
 
 

@@ -27,7 +27,7 @@ import numpy as np
 from kappasim.agreement import fleiss_kappa
 from kappasim.corpus import AnnotationMatrix, read_columns, write_table
 from kappasim.errors import DataError
-from kappasim.mc import ExperimentConfig, column_moments, run_experiment
+from kappasim.mc import ExperimentConfig, _freeze_columns, column_moments, run_experiment
 
 VARIATION_HEADER = ("n", "mu_bar", "sigma_bar", "cv", "cv_percent")
 INTERVALS_HEADER = ("n", "level", "lower", "upper")
@@ -79,12 +79,7 @@ class VariationTable:
     def __post_init__(self) -> None:
         if self.ns != tuple(range(2, self.k + 1)):
             raise DataError("variation table must cover subset sizes 2..k")
-        for name in ("mu_bar", "sigma_bar", "cv"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64).copy()
-            if arr.shape != (len(self.ns),):
-                raise DataError(f"{name} must hold one value per subset size")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _freeze_columns(self, ("mu_bar", "sigma_bar", "cv"))
 
     def defined(self) -> np.ndarray:
         """Boolean mask of rows where cv is defined."""

@@ -14,8 +14,10 @@ where each stage freezes one more regressor at its empirically stable
 value: S4 fits all of (a, b, c, d); S3 fixes d = 2; S2 additionally fixes
 c = kappa_hat - a; S1 additionally fixes a = 2*kappa_hat; S0 fixes
 b = k/10 and has no free regressors left, which makes it the closed form
-above. The fitter is a small damped least-squares loop (Levenberg-
-Marquardt flavor) with a finite-difference Jacobian.
+above. The fitter is a damped least-squares loop (Levenberg-Marquardt
+flavor) on the exact Jacobian: with q = b + n - d, dg/da = (n - d)/q,
+dg/db = -a(n - d)/q**2, dg/dc = 1 and dg/dd = -ab/q**2, chained through
+the stage's constant matrix d(a, b, c, d)/d(free regressors).
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ FREE_BY_STAGE: dict[str, tuple[str, ...]] = {
 
 _MAX_ITERATIONS = 200
 _SSE_RTOL = 1e-12
-_FD_STEP = 1e-6
 _POLE_EPS = 1e-12
 
 
@@ -121,6 +122,25 @@ def _resolve(
     if stage == "S0":
         b = k / 10
     return float(a), float(b), float(c), float(d)
+
+
+def _stage_map(stage: str) -> np.ndarray:
+    """d(a, b, c, d)/d(free regressors), read off :func:`_resolve`: it is
+    affine with 0/+-1 coefficients, so at kappa_hat = k = 0 column i is
+    exactly _resolve(e_i) - _resolve(0). The matrix times theta puts each
+    free value in its own slot, which is all :func:`_resolve` needs."""
+    origin = _resolve(stage, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    units = np.eye(4)[["abcd".index(name) for name in FREE_BY_STAGE[stage]]]
+    columns = [np.subtract(_resolve(stage, *unit, 0.0, 0.0), origin) for unit in units]
+    return np.reshape(columns, (len(units), 4)).T
+
+
+def _jacobian(ns: np.ndarray, chain: np.ndarray, a: float, b: float, d: float) -> np.ndarray:
+    """d g(ns)/d theta: g's partials in (a, b, c, d) at the given values
+    (dg/dc = 1 whatever c is) times ``chain``, the stage map."""
+    x = ns - d
+    q = b + x
+    return np.column_stack((x / q, -a * x / q**2, np.ones_like(ns), -a * b / q**2)) @ chain
 
 
 def _curve(n: np.ndarray, a: float, b: float, c: float, d: float) -> np.ndarray:
@@ -211,42 +231,31 @@ def fit(
 ) -> ModelFit:
     """Least-squares fit of the stage's free regressors to minimum points.
 
-    Damped Gauss-Newton iteration: solve (J'J + lam*diag(J'J)) step = J'r
-    with a forward finite-difference Jacobian (step 1e-6*max(1, |theta|)),
-    multiplying lam by 10 on a rejected step and halving it on an accepted
-    one. Steps that would put the model's pole n = d - b inside [2, k] are
-    rejected outright; the model family is only meaningful with the pole
-    outside the data range. Convergence is declared when an accepted step
-    changes the SSE by less than a factor of 1e-12; hitting the iteration
-    cap (200) returns the best parameters found with converged=False
-    rather than raising, so sweeps over many seeds never abort.
+    Damped Gauss-Newton iteration: solve (J'J + lam*diag(J'J)) step = J'r,
+    J being the curve's partials in (a, b, c, d) times the stage's chain
+    matrix d(a, b, c, d)/d(free), multiplying lam by 10 on a rejected step
+    and halving it on an accepted one. Steps that would put the model's
+    pole n = d - b inside [2, k] are rejected outright; the model family
+    is only meaningful with the pole outside the data range. Convergence
+    is declared when an accepted step changes the SSE by less than a
+    factor of 1e-12; hitting the iteration cap (200) returns the best
+    parameters found with converged=False rather than raising, so sweeps
+    over many seeds never abort.
 
     The default initial guess reads the data: d0 = 2, c0 = y at the
     smallest n (the model value at n = 2 is exactly c when d = 2),
     a0 = y at the largest n minus c0, b0 = k/10.
     """
-    if stage not in FREE_BY_STAGE:
-        raise DataError(f"unknown stage {stage!r}, expected one of {', '.join(STAGES)}")
+    chain = _stage_map(stage)  # raises DataError for an unknown stage
     free = FREE_BY_STAGE[stage]
     ns = np.asarray(points.ns, dtype=np.float64)
     ys = np.asarray(points.ys, dtype=np.float64)
     if len(ns) < len(free) + 1:
-        raise DataError(
-            f"stage {stage} needs at least {len(free) + 1} points, got {len(ns)}"
-        )
+        raise DataError(f"stage {stage} needs at least {len(free) + 1} points, got {len(ns)}")
     kappa_hat, k = points.kappa_hat, float(points.k)
 
     def full_params(theta: np.ndarray) -> tuple[float, float, float, float]:
-        given = dict(zip(free, theta))
-        return _resolve(
-            stage,
-            given.get("a", math.nan),
-            given.get("b", math.nan),
-            given.get("c", math.nan),
-            given.get("d", math.nan),
-            kappa_hat,
-            k,
-        )
+        return _resolve(stage, *(chain @ theta), kappa_hat, k)
 
     def admissible(theta: np.ndarray) -> bool:
         if not np.all(np.isfinite(theta)):
@@ -284,28 +293,14 @@ def fit(
         raise DataError("initial guess places the model pole inside the data range")
 
     sse, residuals = sse_of(theta)
-    best_theta, best_sse = theta.copy(), sse
     lam = 1e-3
     converged = False
     iterations = 0
-    jacobian: np.ndarray | None = None
 
     while iterations < _MAX_ITERATIONS and not converged:
         iterations += 1
-        if jacobian is None:
-            jacobian = np.empty((len(ns), len(free)))
-            base = predict(theta)
-            for i in range(len(free)):
-                step = _FD_STEP * max(1.0, abs(theta[i]))
-                probe = theta.copy()
-                probe[i] += step
-                if not admissible(probe):
-                    probe[i] = theta[i] - step
-                    step = -step
-                if not admissible(probe):
-                    jacobian[:, i] = 0.0
-                    continue
-                jacobian[:, i] = (predict(probe) - base) / step
+        a, b, _, d = full_params(theta)
+        jacobian = _jacobian(ns, chain, a, b, d)
         jtj = jacobian.T @ jacobian
         jtr = jacobian.T @ residuals
         damping = np.maximum(np.diag(jtj), _POLE_EPS)
@@ -328,17 +323,14 @@ def fit(
         stalled = abs(sse - new_sse) <= _SSE_RTOL * max(sse, 1e-300)
         if new_sse < sse:
             theta, sse, residuals = candidate, new_sse, new_residuals
-            jacobian = None
             lam = max(lam * 0.5, 1e-12)
-            if sse < best_sse:
-                best_theta, best_sse = theta.copy(), sse
         else:
             lam = min(lam * 10.0, 1e12)
         if sse == 0.0 or stalled:
             converged = True
 
-    a, b, c, d = full_params(best_theta)
-    r2 = r_squared(ys, predict(best_theta))
+    a, b, c, d = full_params(theta)
+    r2 = r_squared(ys, predict(theta))
     return ModelFit(stage, a, b, c, d, free, r2, converged, iterations)
 
 

@@ -45,7 +45,10 @@ GOLDEN = {
     "stats.csv": "d1bcf801f8f2b111707f3230fd20588fb5bf5a6115d59eadf716fbae1d86a6ff",
     "fit_S0.stdout": "7ec773aa4fee70eb3ed8e6630a6ac73559f3d39d78c13e2a5005c9d714569865",
     "minima_S0.csv": "468de92521915885065f07ef2b3e7be7627d7505db925d88ccc63c78efbd40dd",
-    "fit_S4.stdout": "0e3562ee878a0ea863cb7b035d501592d13b07192ae199c5043ad5d01d39db50",
+    "fit_S1.stdout": "515e215e2f4e01e2634b3340c31a8066c59387977b991d457606e8af18bfcc67",
+    "fit_S2.stdout": "b811febc14f6df8761d560d16d6222797d303e1b1d5fd9045a829b2e98d9d6e2",
+    "fit_S3.stdout": "25adb4cf363295c234ec4f4a8de65d8738a5eaadd5cde44486aa0d335a160188",
+    "fit_S4.stdout": "3341920db4345876183c8d62ca7aaa1c1e39cc33ed89e308b20d77e41680821c",
     "minima_S4.csv": "468de92521915885065f07ef2b3e7be7627d7505db925d88ccc63c78efbd40dd",
     "variation.csv": "01732f190392d4db7f542af50c82695e2017f4e0afb6d7e60991e0357d14dde3",
     "intervals_from_variation.csv": "c5e83f04cffbfa4f54140dd12fc3e509c4561acbed25f2031134204e7b1f23d2",
@@ -74,7 +77,7 @@ def outputs(tmp_path_factory) -> dict[str, bytes]:
     run("simulate.stdout", ["simulate", "--input", matrix, "--k", "6", "--m", "20",
                             "--seed", "3", "--runs-out", str(d / "runs.csv"),
                             "--stats-out", str(d / "stats.csv")])
-    for stage in ("S0", "S4"):
+    for stage in ("S0", "S1", "S2", "S3", "S4"):
         run(f"fit_{stage}.stdout", ["fit", "--runs", str(d / "runs.csv"), "--stage", stage,
                                     "--json", "--minima-out", str(d / f"minima_{stage}.csv")])
     run(None, ["variation", "--input", matrix, "--k", "4", "--m", "10", "--j", "5",
