@@ -29,7 +29,12 @@ self-pairs included. Clearing the denominators leaves two integers,
 and kappa = num / den. Every path (the whole matrix here, every prefix of
 every ordering in :mod:`kappasim.mc`) computes S and T2 exactly and makes
 this one division, so each value is the correctly rounded exact rational
-and the paths agree bitwise. |num| and den are at most N^2 * n^3: the
+and the paths agree bitwise. The whole-matrix path also reports P-bar and
+P-bar_e, each a single division of the same integers,
+
+    P-bar = (S - N*n) / (N*n * (n - 1)),      P-bar_e = T2 / (N*n)^2,
+
+and so likewise correctly rounded. |num| and den are at most N^2 * n^3: the
 whole-matrix path sums S and T2 and divides in Python ints, which have no
 limit (its int64 per-item squares n_ij^2 are exact for n < 3 * 10^9); the
 batched prefix path divides int64 values converted to float64, which is
@@ -106,19 +111,15 @@ def kappa_from_counts(counts: np.ndarray) -> KappaValue:
     if n < 2:
         raise DataError(f"at least 2 raters required, got {n}")
 
-    # Integer accumulation keeps P_i and the marginals exact up to the
-    # final divisions.
+    # S and T2 summed in Python ints, which cannot overflow, so kappa, P-bar
+    # and P-bar_e are each the exact ratio rounded once however large the
+    # table.
     sq = np.sum(counts.astype(np.int64) ** 2, axis=1)
-    p_i = (sq - n) / (n * (n - 1))
-    p_bar = float(np.sum(p_i) / n_items)
-    col_sums = counts.sum(axis=0, dtype=np.int64)
-    p_j = col_sums / (n_items * n)
-    p_bar_e = float(np.sum(p_j**2))
-
-    # S and T2 summed in Python ints, which cannot overflow, so kappa is
-    # the exact ratio rounded once however large the table.
     S = sum(sq.tolist())
-    T2 = sum(t * t for t in col_sums.tolist())
+    T2 = sum(t * t for t in counts.sum(axis=0, dtype=np.int64).tolist())
+    total = n_items * n
+    p_bar = (S - total) / (total * (n - 1))
+    p_bar_e = T2 / (total * total)
     kappa, degenerate = _kappa(S, T2, n_items, n)
     return KappaValue(kappa=kappa, p_bar=p_bar, p_bar_e=p_bar_e, degenerate=degenerate)
 

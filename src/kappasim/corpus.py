@@ -39,6 +39,23 @@ def open_text_dest(dest: str | Path | TextIO | None) -> Iterator[TextIO]:
             yield fh
 
 
+@contextmanager
+def open_text_source(path: Path, what: str) -> Iterator[TextIO]:
+    """Yield ``path`` open for reading as UTF-8 text (an optional BOM is
+    dropped). A missing file raises FileNotFoundError; a file that cannot
+    be read (a directory, no permission, bytes that are not UTF-8) raises
+    :class:`DataError` naming it, whether at open or while being read."""
+    if not path.exists():
+        raise FileNotFoundError(f"{what} file not found: {path}")
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: cannot read {what} file: not UTF-8 text") from None
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read {what} file: {exc.strerror}") from None
+
+
 def write_table(
     dest: str | Path | TextIO | None, header: Sequence[str], rows: Iterable[Sequence[object]]
 ) -> None:
@@ -68,9 +85,7 @@ def read_table(
     the table in the messages.
     """
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"{what} file not found: {path}")
-    with open(path, encoding="utf-8-sig", newline="") as fh:
+    with open_text_source(path, what) as fh:
         reader = csv.reader(fh)
         if tuple(h.strip() for h in next(reader, ())) != tuple(header):
             raise DataError(f"{path}: expected header '{','.join(header)}'")
@@ -191,55 +206,20 @@ class AnnotationMatrix:
         codes.setflags(write=False)
         object.__setattr__(self, "codes", codes)
 
-    @classmethod
-    def from_labels(
-        cls,
-        raters: Sequence[str],
-        items: Sequence[str],
-        categories: Sequence[str],
-        labels: Mapping[tuple[str, str], str],
-    ) -> "AnnotationMatrix":
-        """Build a matrix from a (rater, item) -> label-token mapping.
-
-        Raises :class:`DataError` if any cell is missing or a token is not
-        in ``categories``.
-        """
-        cat_index = {c: i for i, c in enumerate(categories)}
-        codes = np.zeros((len(raters), len(items)), dtype=np.int64)
-        for r, rater in enumerate(raters):
-            for i, item in enumerate(items):
-                try:
-                    token = labels[(rater, item)]
-                except KeyError:
-                    raise DataError(
-                        f"incomplete matrix: no label for rater {rater!r}, item {item!r}"
-                    ) from None
-                if token not in cat_index:
-                    raise DataError(f"unknown label token {token!r}")
-                codes[r, i] = cat_index[token]
-        return cls(tuple(raters), tuple(items), tuple(categories), codes)
-
-    def rows(self, raters: Iterable[str]) -> list[int]:
-        """Row of ``codes`` for each rater; ValueError, as from
-        ``tuple.index``, for a rater not in the matrix."""
+    def rows(self, raters: Sequence[str]) -> list[int]:
+        """Row of ``codes`` for each rater; DataError naming any rater not
+        in the matrix."""
         try:
             return [self.rater_rows[r] for r in raters]
         except KeyError:
-            raise ValueError("tuple.index(x): x not in tuple") from None
-
-    def label(self, rater: str, item: str) -> str:
-        return self.categories[self.codes[self.rows((rater,))[0], self.items.index(item)]]
+            missing = [r for r in raters if r not in self.rater_rows]
+            raise DataError(f"team members not in matrix: {', '.join(missing)}") from None
 
     def counts(self) -> np.ndarray:
         """Per-item category counts over all raters, shape (items, categories)."""
         k = len(self.categories)
-        onehot = self.codes[:, :, None] == np.arange(k)[None, None, :]
-        return onehot.sum(axis=0).astype(np.int64)
-
-    def subset(self, raters: Sequence[str]) -> "AnnotationMatrix":
-        """Matrix restricted to the given raters (>= 2), original items/categories."""
-        idx = self.rows(raters)
-        return AnnotationMatrix(tuple(raters), self.items, self.categories, self.codes[idx])
+        cells = np.arange(len(self.items)) * k + self.codes
+        return np.bincount(cells.ravel(), minlength=len(self.items) * k).reshape(-1, k)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AnnotationMatrix):
@@ -279,6 +259,8 @@ class ColumnMapping:
             raise DataError("mapping declares no label columns")
         if len(set(self.label_cols)) != len(self.label_cols):
             raise DataError("label columns must be unique")
+        if len(self.delimiter) != 1:
+            raise DataError(f"delimiter must be exactly one character, got {self.delimiter!r}")
         self.encoding()  # validates injectivity
 
     def encoding(self) -> dict[str, str]:
@@ -327,10 +309,10 @@ def load_mapping(path: str | Path) -> ColumnMapping:
     the two-character escape ``\\t`` for tab-separated files.
     """
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"mapping file not found: {path}")
+    with open_text_source(path, "mapping") as fh:
+        text = fh.read()
     fields: dict[str, object] = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8-sig").splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -388,9 +370,7 @@ def load_raw(path: str | Path, mapping: ColumnMapping) -> RawSurveyTable:
     synthesized from the row number.
     """
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"survey file not found: {path}")
-    with open(path, encoding="utf-8-sig", newline="") as fh:
+    with open_text_source(path, "survey") as fh:
         reader = csv.reader(fh, delimiter=mapping.delimiter)
         try:
             header = next(reader)
@@ -539,14 +519,13 @@ def write_matrix(matrix: AnnotationMatrix, dest: str | Path | TextIO | None) -> 
     write_table(dest, MATRIX_HEADER, rows)
 
 
-def read_matrix(path: str | Path, categories: Sequence[str] | None = None) -> AnnotationMatrix:
+def read_matrix(path: str | Path) -> AnnotationMatrix:
     """Read a long-format matrix file back into an :class:`AnnotationMatrix`.
 
     Rows may appear in any order; rater/item ordering follows first
-    appearance. Label tokens are matched exactly (case-sensitive). With
-    ``categories=None`` the category set is inferred: the canonical
-    sentiment triple when every token belongs to it, otherwise the
-    distinct tokens in first-appearance order.
+    appearance. Label tokens are matched exactly (case-sensitive). The
+    category set is the canonical sentiment triple when every token
+    belongs to it, otherwise the distinct tokens in first-appearance order.
     """
     # Number raters, items and tokens by first appearance: dict lookups
     # keep the read linear, and four integer columns (record, rater, item,
@@ -568,19 +547,13 @@ def read_matrix(path: str | Path, categories: Sequence[str] | None = None) -> An
     records, rater_idx, item_idx, token_idx = np.concatenate(chunks, axis=1)
 
     for token, code in tokens.items():  # in first-appearance order
-        if categories is not None:
-            unknown = token not in categories
-        else:
-            # Tokens are case-sensitive; a case-variant of a canonical
-            # label is a data defect, not a new category.
-            unknown = token not in SENTIMENT_CATEGORIES and token.lower() in SENTIMENT_CATEGORIES
-        if unknown:
+        # Tokens are case-sensitive; a case-variant of a canonical label is
+        # a data defect, not a new category.
+        if token not in SENTIMENT_CATEGORIES and token.lower() in SENTIMENT_CATEGORIES:
             record = int(records[np.argmax(token_idx == code)])
             raise _row_error(path, record, f"unknown label token {token!r}")
-    if categories is None:
-        inferred = set(tokens) <= set(SENTIMENT_CATEGORIES)
-        categories = SENTIMENT_CATEGORIES if inferred else tuple(tokens)
-    cats = tuple(categories)
+    inferred = set(tokens) <= set(SENTIMENT_CATEGORIES)
+    cats = SENTIMENT_CATEGORIES if inferred else tuple(tokens)
     rater_names, item_names = list(raters), list(items)
 
     n_cells = len(raters) * len(items)

@@ -81,10 +81,6 @@ class VariationTable:
             raise DataError("variation table must cover subset sizes 2..k")
         _freeze_columns(self, ("mu_bar", "sigma_bar", "cv"))
 
-    def defined(self) -> np.ndarray:
-        """Boolean mask of rows where cv is defined."""
-        return np.isfinite(self.cv)
-
 
 @dataclass(frozen=True)
 class IntervalEstimate:
@@ -94,10 +90,6 @@ class IntervalEstimate:
     percent: float
     lower: float
     upper: float
-
-    @property
-    def level(self) -> str:
-        return f"{self.percent:.2f}%"
 
 
 def run_variation(matrix: AnnotationMatrix, config: VariationConfig) -> VariationTable:
@@ -150,6 +142,8 @@ def interval_estimate(kappa_hat: float, cv_n: float, z: int) -> IntervalEstimate
         raise DataError(f"z must be 1, 2, or 3, got {z}")
     if not math.isfinite(cv_n) or cv_n < 0:
         raise DataError(f"cv must be a finite non-negative number, got {cv_n}")
+    if not math.isfinite(kappa_hat):
+        raise DataError(f"kappa_hat must be finite, got {kappa_hat}")
     return IntervalEstimate(
         z=z,
         percent=EMPIRICAL_RULE_PERCENT[z],

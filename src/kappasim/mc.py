@@ -1,11 +1,13 @@
 """Monte Carlo subset-agreement experiment.
 
-One experiment fixes a team of k raters, then repeats m times: draw a
+One experiment draws a team of k raters, then repeats m times: draw a
 random ordering of the team and compute the agreement progression
 kappa_2..kappa_k, where kappa_n is Fleiss' kappa restricted to the first
 n raters of the ordering. The final value kappa_k does not depend on the
 ordering, so it is the team's overall agreement kappa-hat; the spread of
-the earlier prefix values is the object of study.
+the earlier prefix values is the object of study. The team is always
+drawn from the matrix; with k equal to the matrix's rater count it is the
+whole matrix, which is how a given team is simulated.
 
 The prefix values come from the team's rater x rater agreement counts
 (Gram matrix) and per-rater category totals, tabulated once per team:
@@ -40,14 +42,14 @@ STATS_HEADER = ("n", "min", "q1", "median", "q3", "max", "mean", "std")
 class ExperimentConfig:
     """Parameters of one experiment.
 
-    ``team=None`` means run 1 samples k raters uniformly without
-    replacement; an explicit team (k member ids) skips the draw.
+    The team is always drawn: k raters, uniformly without replacement (see
+    :func:`sample_team`). To simulate a given team, pass a matrix that
+    holds only that team, with k equal to its size.
     """
 
     k: int
     m: int
     seed: int
-    team: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.k < 3:
@@ -56,11 +58,6 @@ class ExperimentConfig:
             raise DataError(f"repetition count must be >= 1, got {self.m}")
         if self.seed < 0:
             raise DataError(f"seed must be non-negative, got {self.seed}")
-        if self.team is not None:
-            if len(self.team) != self.k:
-                raise DataError(f"explicit team has {len(self.team)} members, expected k={self.k}")
-            if len(set(self.team)) != len(self.team):
-                raise DataError("explicit team members must be distinct")
 
 
 @dataclass(frozen=True)
@@ -132,10 +129,6 @@ class SubsetStats:
         )
         if not ordered:
             raise DataError("order statistics must satisfy min <= q1 <= median <= q3 <= max")
-
-    @property
-    def iqrs(self) -> np.ndarray:
-        return self.q3s - self.q1s
 
 
 def sample_team(matrix: AnnotationMatrix, k: int, rng: np.random.Generator) -> tuple[str, ...]:
@@ -224,10 +217,7 @@ def prefix_kappas(
         raise DataError("team members must be distinct")
     if sorted(team) != sorted(ordering):
         raise DataError("ordering must be a permutation of the team")
-    try:
-        idx = matrix.rows(ordering)
-    except ValueError as exc:
-        raise DataError(f"unknown rater in team: {exc}") from None
+    idx = matrix.rows(ordering)
     perm = np.arange(len(idx))[None, :]
     return _prefix_kappas(matrix.codes[idx], len(matrix.categories), perm)[0]
 
@@ -240,13 +230,7 @@ def run_experiment(matrix: AnnotationMatrix, config: ExperimentConfig) -> RunSet
     first, then all m progressions are computed in one batch.
     """
     root = np.random.default_rng(np.random.SeedSequence(config.seed))
-    if config.team is not None:
-        missing = [r for r in config.team if r not in matrix.rater_rows]
-        if missing:
-            raise DataError(f"team members not in matrix: {', '.join(missing)}")
-        team = tuple(config.team)
-    else:
-        team = sample_team(matrix, config.k, root)
+    team = sample_team(matrix, config.k, root)
     perms = np.empty((config.m, config.k), dtype=np.int64)
     for row in range(config.m):
         rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(row + 1,)))

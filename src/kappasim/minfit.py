@@ -26,7 +26,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence, TextIO
+from typing import Sequence, TextIO
 
 import numpy as np
 
@@ -76,6 +76,10 @@ class MinPoints:
             raise DataError("subset sizes must be strictly increasing")
         if ns[0] < 2 or ns[-1] > self.k:
             raise DataError("subset sizes must lie within 2..k")
+        if not math.isfinite(self.kappa_hat):
+            raise DataError(f"kappa_hat must be finite, got {self.kappa_hat}")
+        if not all(math.isfinite(y) for _, y in self.points):
+            raise DataError("minimum agreements must be finite")
 
     @property
     def ns(self) -> tuple[int, ...]:
@@ -184,6 +188,8 @@ def eval_min_model(n: float | np.ndarray, k: float, kappa_hat: float) -> float |
     """
     if k < 3:
         raise DataError(f"team size must be >= 3, got {k}")
+    if not math.isfinite(kappa_hat):
+        raise DataError(f"kappa_hat must be finite, got {kappa_hat}")
     n_arr = np.asarray(n, dtype=np.float64)
     if np.any(n_arr < 2) or np.any(n_arr > k):
         raise DataError(f"subset size must lie within 2..{k}")
@@ -224,11 +230,7 @@ def extract_minima(
     return MinPoints(points=tuple(points), k=k, kappa_hat=float(kappa_hat))
 
 
-def fit(
-    points: MinPoints,
-    stage: str,
-    initial_guess: Mapping[str, float] | None = None,
-) -> ModelFit:
+def fit(points: MinPoints, stage: str) -> ModelFit:
     """Least-squares fit of the stage's free regressors to minimum points.
 
     Damped Gauss-Newton iteration: solve (J'J + lam*diag(J'J)) step = J'r,
@@ -242,7 +244,7 @@ def fit(
     parameters found with converged=False rather than raising, so sweeps
     over many seeds never abort.
 
-    The default initial guess reads the data: d0 = 2, c0 = y at the
+    The initial guess reads the data: d0 = 2, c0 = y at the
     smallest n (the model value at n = 2 is exactly c when d = 2),
     a0 = y at the largest n minus c0, b0 = k/10.
     """
@@ -280,14 +282,6 @@ def fit(
 
     guess = {"d": 2.0, "c": float(ys[0]), "b": k / 10}
     guess["a"] = float(ys[-1]) - guess["c"]
-    if initial_guess is not None:
-        unknown = set(initial_guess) - set(free)
-        if unknown:
-            raise DataError(
-                f"initial guess names non-free regressor(s) for {stage}: "
-                f"{', '.join(sorted(unknown))}"
-            )
-        guess.update({name: float(v) for name, v in initial_guess.items()})
     theta = np.array([guess[name] for name in free], dtype=np.float64)
     if not admissible(theta):
         raise DataError("initial guess places the model pole inside the data range")

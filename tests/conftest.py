@@ -22,12 +22,9 @@ from kappasim import (
 TWIN_RHO = 1.0 - 0.22**0.5
 
 
-def kappa_fraction(counts) -> tuple[Fraction, bool]:
-    """Brute-force agreement from a count table, in exact rationals.
-
-    Returns (kappa, degenerate). Independent of the library code: plain
-    Fraction arithmetic straight off the defining formula.
-    """
+def p_fractions(counts) -> tuple[Fraction, Fraction]:
+    """Observed and chance agreement (P-bar, P-bar_e) of a count table, in
+    exact rationals straight off the defining formulas."""
     rows = [[int(c) for c in row] for row in counts]
     n = sum(rows[0])
     n_items = len(rows)
@@ -38,7 +35,17 @@ def kappa_fraction(counts) -> tuple[Fraction, bool]:
     col = [sum(row[j] for row in rows) for j in range(n_cats)]
     p_j = [Fraction(c, n_items * n) for c in col]
     p_bar_e = sum((p * p for p in p_j), Fraction(0))
-    if sum(1 for c in col if c) == 1:
+    return p_bar, p_bar_e
+
+
+def kappa_fraction(counts) -> tuple[Fraction, bool]:
+    """Brute-force agreement from a count table, in exact rationals.
+
+    Returns (kappa, degenerate). Independent of the library code: plain
+    Fraction arithmetic straight off the defining formula.
+    """
+    p_bar, p_bar_e = p_fractions(counts)
+    if p_bar_e == 1:  # every rating in one category
         return Fraction(1), True
     return (p_bar - p_bar_e) / (1 - p_bar_e), False
 
@@ -58,6 +65,17 @@ def matrix_from_codes(codes, n_categories: int | None = None) -> AnnotationMatri
         categories=cats,
         codes=codes,
     )
+
+
+def subset(matrix: AnnotationMatrix, raters) -> AnnotationMatrix:
+    """``matrix`` restricted to ``raters``, in the given order."""
+    rows = matrix.rows(raters)
+    return AnnotationMatrix(tuple(raters), matrix.items, matrix.categories, matrix.codes[rows])
+
+
+def label(matrix: AnnotationMatrix, rater: str, item: str) -> str:
+    """The label token ``rater`` gave ``item``."""
+    return matrix.categories[matrix.codes[matrix.rater_rows[rater], matrix.items.index(item)]]
 
 
 def random_counts(rng: np.random.Generator) -> np.ndarray:

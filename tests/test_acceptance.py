@@ -137,7 +137,7 @@ def test_c03_prefix_distribution_shape():
         table = run_set.kappas
         assert np.all(table[:, -1] == run_set.kappa_hat)
 
-        iqr_steps = np.diff(stats.iqrs)
+        iqr_steps = np.diff(stats.q3s - stats.q1s)
         violations = iqr_steps[iqr_steps > 0]
         assert len(violations) <= 3
         assert np.all(violations < 0.005)

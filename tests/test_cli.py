@@ -142,6 +142,45 @@ class TestPreprocess:
         )
         assert code == 2
 
+    def test_multi_character_delimiter(self, tmp_path, capsys):
+        raw = tmp_path / "raw.csv"
+        cfg = tmp_path / "mapping.cfg"
+        raw.write_text(RAW, encoding="utf-8")
+        cfg.write_text(MAPPING + "delimiter = ;;\n", encoding="utf-8")
+        assert main(["preprocess", "--raw", str(raw), "--mapping", str(cfg)]) == 2
+        err = "kappasim: error: delimiter must be exactly one character, got ';;'\n"
+        assert capsys.readouterr().err == err
+
+
+# For each input file: the command line reading it from ``path``, given a
+# valid raw survey and mapping for the other preprocess input.
+INPUTS = {
+    "matrix": lambda path, raw, cfg: ["kappa", "--input", path],
+    "runs": lambda path, raw, cfg: ["fit", "--runs", path],
+    "stats": lambda path, raw, cfg: ["fit", "--stats", path],
+    "variation": lambda path, raw, cfg: ["intervals", "--variation", path, "--kappa-hat", "0.3"],
+    "survey": lambda path, raw, cfg: ["preprocess", "--raw", path, "--mapping", cfg],
+    "mapping": lambda path, raw, cfg: ["preprocess", "--raw", raw, "--mapping", path],
+}
+
+
+@pytest.mark.parametrize("what", sorted(INPUTS))
+@pytest.mark.parametrize(
+    "kind,reason", [("directory", "Is a directory"), ("latin-1", "not UTF-8 text")]
+)
+def test_unreadable_input_is_data_error(tmp_path, capsys, what, kind, reason):
+    raw = tmp_path / "raw.csv"
+    cfg = tmp_path / "mapping.cfg"
+    raw.write_text(RAW, encoding="utf-8")
+    cfg.write_text(MAPPING, encoding="utf-8")
+    bad = tmp_path / "bad"
+    if kind == "directory":
+        bad.mkdir()
+    else:
+        bad.write_bytes("café\n".encode("latin-1"))
+    assert main(INPUTS[what](str(bad), str(raw), str(cfg))) == 2
+    assert capsys.readouterr().err == f"kappasim: error: {bad}: cannot read {what} file: {reason}\n"
+
 
 class TestSimulate:
     def test_writes_runs_and_stats(self, matrix_file, tmp_path, capsys):
@@ -262,6 +301,15 @@ class TestFit:
         _, stats = experiment_files
         assert main(["fit", "--stats", str(stats), "--k", "5"]) == 2
 
+    @pytest.mark.parametrize("stage,kappa_hat", [("S0", "nan"), ("S4", "nan"), ("S0", "inf")])
+    def test_non_finite_kappa_hat_is_data_error(self, experiment_files, capsys, stage, kappa_hat):
+        _, stats = experiment_files
+        argv = ["fit", "--stats", str(stats), "--stage", stage, "--kappa-hat", kappa_hat]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"kappasim: error: kappa_hat must be finite, got {kappa_hat}\n"
+
     def test_non_finite_runs_are_rejected_without_warnings(self, tmp_path, capsys):
         runs = tmp_path / "runs.csv"
         runs.write_text("run_id,n,kappa\n1,2,nan\n1,3,inf\n", encoding="utf-8")
@@ -283,6 +331,12 @@ class TestMinModel:
 
     def test_n_beyond_k_is_data_error(self, capsys):
         assert main(["minmodel", "--n", "46", "--k", "45", "--kappa-hat", "0.2"]) == 2
+
+    def test_non_finite_kappa_hat_is_data_error(self, capsys):
+        assert main(["minmodel", "--n", "3", "--k", "45", "--kappa-hat", "nan"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "kappasim: error: kappa_hat must be finite, got nan\n"
 
 
 class TestVariation:
@@ -341,6 +395,13 @@ class TestIntervals:
         lines = out.read_text().splitlines()
         assert len(lines) == 2
         assert lines[1].startswith("5,95.45,")
+
+    def test_non_finite_kappa_hat_is_data_error(self, capsys):
+        argv = ["intervals", "--cv", "0.1", "--n", "3", "--kappa-hat", "inf"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "kappasim: error: kappa_hat must be finite, got inf\n"
 
     def test_cv_requires_n(self, capsys):
         assert main(["intervals", "--cv", "0.2", "--kappa-hat", "0.3"]) == 1

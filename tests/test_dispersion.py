@@ -106,7 +106,7 @@ class TestRunVariation:
     def test_single_repetition_has_zero_spread(self, twin_matrix):
         vt = run_variation(twin_matrix, VariationConfig(k=5, m=1, j=2, seed=2))
         assert np.all(vt.sigma_bar == 0.0)
-        defined = vt.defined()
+        defined = np.isfinite(vt.cv)
         assert np.all(vt.cv[defined] == 0.0)
 
     def test_cv_decreases_with_subset_size(self, twin_matrix):
@@ -139,7 +139,7 @@ class TestVariationTable:
 
     def test_defined_mask(self):
         vt = self.make()
-        assert vt.defined().tolist() == [False, True]
+        assert np.isfinite(vt.cv).tolist() == [False, True]
 
     def test_arrays_are_read_only(self):
         vt = self.make()
@@ -161,7 +161,6 @@ class TestIntervalEstimate:
         assert est.lower == pytest.approx(0.17743563, abs=1e-12)
         assert est.upper == pytest.approx(0.26116437, abs=1e-12)
         assert est.percent == 68.27
-        assert est.level == "68.27%"
 
     def test_zero_cv_collapses_to_point(self):
         est = interval_estimate(0.2193, 0.0, 2)
@@ -268,4 +267,4 @@ class TestFiles:
 
     def test_interval_estimate_is_plain_record(self):
         est = IntervalEstimate(z=1, percent=68.27, lower=0.1, upper=0.3)
-        assert est.level == "68.27%"
+        assert (est.z, est.percent, est.lower, est.upper) == (1, 68.27, 0.1, 0.3)

@@ -23,7 +23,7 @@ from kappasim import (
 from kappasim import mc
 from kappasim.agreement import _kappa
 
-from conftest import kappa_fraction, matrix_from_codes
+from conftest import kappa_fraction, matrix_from_codes, p_fractions, subset
 
 
 @st.composite
@@ -46,7 +46,7 @@ def code_grids(draw, min_raters=2):
 
 
 def exact(matrix, raters=None):
-    sub = matrix if raters is None else matrix.subset(raters)
+    sub = matrix if raters is None else subset(matrix, raters)
     want, degenerate = kappa_fraction(sub.counts())
     return float(want), degenerate
 
@@ -60,6 +60,17 @@ def test_whole_matrix_is_the_correctly_rounded_rational(grid):
     for value in (fleiss_kappa(matrix), kappa_from_counts(matrix.counts())):
         assert value.kappa == want
         assert value.degenerate == degenerate
+
+
+@settings(max_examples=60, deadline=None)
+@given(code_grids())
+def test_agreement_ingredients_are_the_correctly_rounded_rationals(grid):
+    codes, n_categories, _ = grid
+    counts = matrix_from_codes(codes, n_categories).counts()
+    p_bar, p_bar_e = p_fractions(counts)
+    value = kappa_from_counts(counts)
+    assert value.p_bar == float(p_bar)
+    assert value.p_bar_e == float(p_bar_e)
 
 
 @settings(max_examples=40, deadline=None)
@@ -165,3 +176,6 @@ def test_whole_matrix_path_is_exact_beyond_int64_sums():
     value = kappa_from_counts(counts)
     assert value.kappa == defining_ratio(S, T2, N, n)
     assert value.kappa == float(kappa_fraction(counts)[0])
+    p_bar, p_bar_e = p_fractions(counts)
+    assert value.p_bar == float(p_bar)
+    assert value.p_bar_e == float(p_bar_e)

@@ -21,7 +21,7 @@ from kappasim import (
     write_stats,
 )
 
-from conftest import matrix_from_codes
+from conftest import matrix_from_codes, subset
 
 
 class TestSampleTeam:
@@ -83,7 +83,7 @@ class TestPrefixKappas:
     def test_each_prefix_matches_direct_evaluation(self, twin_matrix, twin_runset):
         ordering = tuple(twin_runset.team[p] for p in twin_runset.perms[0])
         for n in (2, 7, 23, 45):
-            direct = fleiss_kappa(twin_matrix.subset(ordering[:n])).kappa
+            direct = fleiss_kappa(subset(twin_matrix, ordering[:n])).kappa
             assert twin_runset.kappas[0][n - 2] == direct
 
     def test_prefix_locality(self):
@@ -100,14 +100,10 @@ class TestPrefixKappas:
         assert k1[1] != k2[1] and k1[2] != k2[2]
 
     def test_unknown_rater_messages_unchanged(self, twin_matrix):
-        # the rater->row mapping keeps the messages of the tuple.index scans
+        # one message, naming every unknown rater in ordering order
         team = ("p01", "nobody", "p02", "none")
-        message = "^unknown rater in team: tuple.index\\(x\\): x not in tuple$"
-        with pytest.raises(DataError, match=message):
+        with pytest.raises(DataError, match="^team members not in matrix: none, nobody$"):
             prefix_kappas(twin_matrix, team, team[::-1])
-        cfg = ExperimentConfig(k=4, m=2, seed=1, team=team)
-        with pytest.raises(DataError, match="^team members not in matrix: nobody, none$"):
-            run_experiment(twin_matrix, cfg)
 
     def test_ordering_must_permute_team(self, twin_matrix):
         team = twin_matrix.raters[:4]
@@ -162,15 +158,11 @@ class TestRunExperiment:
         assert np.all(long.kappas.min(axis=0) <= short.kappas.min(axis=0))
 
     def test_explicit_team(self, twin_matrix):
+        # a given team is simulated on the matrix that holds only that team
         team = ("p05", "p01", "p44")
-        rs = run_experiment(twin_matrix, ExperimentConfig(k=3, m=4, seed=1, team=team))
+        rs = run_experiment(subset(twin_matrix, team), ExperimentConfig(k=3, m=4, seed=1))
         assert rs.team == team
-        assert rs.kappa_hat == fleiss_kappa(twin_matrix.subset(team)).kappa
-
-    def test_explicit_team_unknown_member(self, twin_matrix):
-        cfg = ExperimentConfig(k=3, m=2, seed=1, team=("p01", "p02", "nobody"))
-        with pytest.raises(DataError, match="not in matrix"):
-            run_experiment(twin_matrix, cfg)
+        assert rs.kappa_hat == fleiss_kappa(subset(twin_matrix, team)).kappa
 
     def test_invalid_k(self, twin_matrix):
         with pytest.raises(DataError, match="team size"):
@@ -184,8 +176,6 @@ class TestConfigAndRecords:
             dict(k=2, m=1, seed=0),
             dict(k=3, m=0, seed=0),
             dict(k=3, m=1, seed=-1),
-            dict(k=3, m=1, seed=0, team=("a", "b")),
-            dict(k=3, m=1, seed=0, team=("a", "b", "a")),
         ],
     )
     def test_config_validation(self, kwargs):
@@ -248,7 +238,7 @@ class TestSummarize:
 
     def test_spread_grows_toward_small_subsets(self, twin_runset):
         stats = summarize(twin_runset)
-        iqr = stats.iqrs
+        iqr = stats.q3s - stats.q1s
         assert iqr[3] > iqr[38]  # n=5 vs n=40
 
     def test_medians_stay_centered(self, twin_runset):

@@ -225,14 +225,6 @@ class TestFit:
         assert result.converged
         assert result.r2 == pytest.approx(1.0, abs=1e-12)
 
-    def test_custom_initial_guess(self):
-        result = fit(model_points(45, 0.2193), "S1", initial_guess={"b": 40.0})
-        assert result.b == pytest.approx(4.5, abs=1e-6)
-
-    def test_initial_guess_rejects_fixed_names(self):
-        with pytest.raises(DataError, match="non-free"):
-            fit(model_points(45, 0.2193), "S1", initial_guess={"a": 1.0})
-
     def test_needs_enough_points(self):
         mp = MinPoints(points=((2, -0.3), (7, 0.2)), k=7, kappa_hat=0.3)
         with pytest.raises(DataError, match="at least"):

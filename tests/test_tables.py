@@ -36,6 +36,8 @@ from kappasim import (
 )
 from kappasim.corpus import MATRIX_HEADER, write_table
 
+from conftest import label
+
 # table name (as in its messages) -> reader, header, two valid data rows
 TABLES = {
     "matrix": (read_matrix, "rater,item,label", ["a,s1,positive", "b,s1,neutral"]),
@@ -222,14 +224,14 @@ def test_matrix_round_trip(scratch, matrix, random):
     write_matrix(matrix, path)
     assert read_matrix(path) == matrix
     # Quoted ids may hold newlines, so shuffle records, not text lines.
-    records = [(r, i, matrix.label(r, i)) for r in matrix.raters for i in matrix.items]
+    records = [(r, i, label(matrix, r, i)) for r in matrix.raters for i in matrix.items]
     random.shuffle(records)
     write_table(path, MATRIX_HEADER, records)
     shuffled = read_matrix(path)
     assert set(shuffled.raters) == set(matrix.raters)
     assert set(shuffled.items) == set(matrix.items)
-    for rater, item, label in records:
-        assert shuffled.label(rater, item) == label
+    for rater, item, token in records:
+        assert label(shuffled, rater, item) == token
 
 
 finite = st.floats(-1.0, 1.0, allow_nan=False)
