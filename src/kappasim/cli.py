@@ -202,6 +202,8 @@ def _interval_rows(
     kappa_hat: float, rows_of_n_cv: Iterable[tuple[int, float]], zs: Sequence[int]
 ) -> list[tuple[int, IntervalEstimate]]:
     """(n, interval) rows per (n, cv) and z, skipping (with a note) undefined cv."""
+    if not math.isfinite(kappa_hat):  # also when every row is skipped
+        raise DataError(f"kappa_hat must be finite, got {kappa_hat}")
     rows = []
     for n, cv in rows_of_n_cv:
         if not math.isfinite(cv):

@@ -365,7 +365,8 @@ class PreprocessReport:
 def load_raw(path: str | Path, mapping: ColumnMapping) -> RawSurveyTable:
     """Read a delimiter-separated survey file with a header row.
 
-    Values stay untranslated. Respondent ids come from
+    Values stay untranslated; a row with more fields than the header is
+    a :class:`DataError` naming its line. Respondent ids come from
     ``mapping.respondent_id_col`` when declared, otherwise they are
     synthesized from the row number.
     """
@@ -381,7 +382,11 @@ def load_raw(path: str | Path, mapping: ColumnMapping) -> RawSurveyTable:
         if missing:
             raise DataError(f"{path}: missing mapped column(s): {', '.join(missing)}")
         rows: list[dict[str, str | None]] = []
+        line = reader.line_num + 1  # where the next record starts
         for record in reader:
+            if len(record) > len(header):
+                raise DataError(f"{path}:{line}: malformed survey row")
+            line = reader.line_num + 1
             if not record:
                 continue
             row: dict[str, str | None] = {

@@ -27,7 +27,7 @@ import numpy as np
 from kappasim.agreement import fleiss_kappa
 from kappasim.corpus import AnnotationMatrix, read_columns, write_table
 from kappasim.errors import DataError
-from kappasim.mc import ExperimentConfig, _freeze_columns, column_moments, run_experiment
+from kappasim.mc import _MAX_KEY, _child_states, _experiments, _freeze_columns, column_moments
 
 VARIATION_HEADER = ("n", "mu_bar", "sigma_bar", "cv", "cv_percent")
 INTERVALS_HEADER = ("n", "level", "lower", "upper")
@@ -49,10 +49,10 @@ class VariationConfig:
     def __post_init__(self) -> None:
         if self.k < 3:
             raise DataError(f"team size must be >= 3, got {self.k}")
-        if self.m < 1:
-            raise DataError(f"repetition count must be >= 1, got {self.m}")
-        if self.j < 1:
-            raise DataError(f"team count must be >= 1, got {self.j}")
+        if not 1 <= self.m <= _MAX_KEY:
+            raise DataError(f"repetition count must be in 1..2**32-1, got {self.m}")
+        if not 1 <= self.j <= _MAX_KEY:
+            raise DataError(f"team count must be in 1..2**32-1, got {self.j}")
         if self.seed < 0:
             raise DataError(f"seed must be non-negative, got {self.seed}")
 
@@ -95,9 +95,15 @@ class IntervalEstimate:
 def run_variation(matrix: AnnotationMatrix, config: VariationConfig) -> VariationTable:
     """Sample j teams, run m repetitions each, fold the running moments.
 
-    Team t's entire experiment (team draw and orderings) is seeded by a
-    child stream keyed on (seed, t), and the fold walks t = 1..j in order,
-    so the procedure is a pure function of (matrix, config). The fold
+    Team t's entire experiment (team draw and orderings) is the
+    :func:`kappasim.mc.run_experiment` of the seed ``SeedSequence(seed,
+    spawn_key=(t,)).generate_state(1, np.uint64)[0]``, t = 1..j, and the
+    fold walks t = 1..j in order, so the procedure is a pure function of
+    (matrix, config). These are NumPy's SeedSequence -> PCG64 streams,
+    computed with array arithmetic for many teams and orderings at once
+    (see :mod:`kappasim.mc`); teams go through in blocks, each block's
+    progressions from one kernel call, so memory does not grow with j. A
+    spawn key is one 32-bit word, so j and m stay below 2**32. The fold
     update at t=1 reduces to mu_1 and sigma_1 exactly.
     """
     if config.k > len(matrix.raters):
@@ -105,18 +111,17 @@ def run_variation(matrix: AnnotationMatrix, config: VariationConfig) -> Variatio
             f"team size {config.k} exceeds the matrix's {len(matrix.raters)} raters"
         )
     ns = tuple(range(2, config.k + 1))
+    team_seeds = _child_states([config.seed], range(1, config.j + 1))[0, :, 0]
     mu_bar = np.zeros(len(ns))
     sigma_bar = np.zeros(len(ns))
     team_kappa_hats: list[float] = []
-    for t in range(1, config.j + 1):
-        sub_seed = int(
-            np.random.SeedSequence(config.seed, spawn_key=(t,)).generate_state(1, np.uint64)[0]
-        )
-        run_set = run_experiment(matrix, ExperimentConfig(k=config.k, m=config.m, seed=sub_seed))
-        mu_t, sigma_t = column_moments(run_set.kappas)
-        mu_bar = ((t - 1) * mu_bar + mu_t) / t
-        sigma_bar = ((t - 1) * sigma_bar + sigma_t) / t
-        team_kappa_hats.append(run_set.kappa_hat)
+    for _, _, kappas in _experiments(matrix, config.k, config.m, team_seeds):
+        for table in kappas:
+            t = len(team_kappa_hats) + 1
+            mu_t, sigma_t = column_moments(table)
+            mu_bar = ((t - 1) * mu_bar + mu_t) / t
+            sigma_bar = ((t - 1) * sigma_bar + sigma_t) / t
+            team_kappa_hats.append(float(table[0, -1]))
     cv = np.full(len(ns), math.nan)
     live = np.abs(mu_bar) > _MU_EPS
     cv[live] = sigma_bar[live] / mu_bar[live]

@@ -15,18 +15,25 @@ each prefix is a pair of integer cumulative sums and one division, the
 same exact formula as the whole-matrix kappa (:mod:`kappasim.agreement`).
 All m orderings are drawn first and then computed in one batch.
 
-Determinism contract: the team draw consumes a root stream seeded with
-``seed``; run r draws its ordering from an independent child stream keyed
-by ``(seed, r)``. Results are therefore bit-identical on every
-invocation, and the first m runs of a longer experiment coincide with the
-m runs of a shorter one.
+Determinism contract: the team draw consumes the root stream
+``default_rng(SeedSequence(seed))``; run r draws its ordering from the
+child stream ``default_rng(SeedSequence(seed, spawn_key=(r,)))``, r =
+1..m. Results are therefore bit-identical on every invocation, and the
+first m runs of a longer experiment coincide with the m runs of a shorter
+one. These are NumPy's own SeedSequence -> PCG64 streams, but they are
+not built one object at a time: :func:`_child_states` runs SeedSequence's
+hash (fixed by NEP 19) as uint32 array arithmetic for many runs at once,
+and each run's PCG64 state is then set on one reused generator whose own
+``shuffle`` draws the ordering. A test pins every word and every ordering
+bitwise to the installed NumPy. A spawn key is one 32-bit word, so m (and
+a variation's team count j) must stay below 2**32.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence, TextIO
+from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -54,8 +61,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.k < 3:
             raise DataError(f"team size must be >= 3, got {self.k}")
-        if self.m < 1:
-            raise DataError(f"repetition count must be >= 1, got {self.m}")
+        if not 1 <= self.m <= _MAX_KEY:
+            raise DataError(f"repetition count must be in 1..2**32-1, got {self.m}")
         if self.seed < 0:
             raise DataError(f"seed must be non-negative, got {self.seed}")
 
@@ -145,8 +152,9 @@ def sample_team(matrix: AnnotationMatrix, k: int, rng: np.random.Generator) -> t
 
 
 # Size of the temporaries of the batched prefix kernel: it works through
-# items (Gram matrix) and orderings (prefix sums) in blocks of about 1 MB.
-_BLOCK_BYTES = 1 << 20
+# items (Gram matrices) and orderings (prefix sums) in blocks of about
+# 256 KB, and takes teams in blocks of about as many orderings.
+_BLOCK_BYTES = 1 << 18
 
 # Integers below this convert to float64 exactly. A prefix kappa's
 # numerator and denominator are at most items^2 * k^3; from this bound on
@@ -154,50 +162,165 @@ _BLOCK_BYTES = 1 << 20
 # rounded.
 _FLOAT_EXACT = 2**53
 
+# NumPy's SeedSequence (NEP 19): its pool of 4 uint32 words and the
+# constants of its two hashes and its mix. A spawn key is one 32-bit word.
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MAX_KEY = _MASK32
+
+# PCG64's 128-bit LCG multiplier.
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = x * _MIX_MULT_L - y * _MIX_MULT_R
+    result ^= result >> 16
+    return result
+
+
+def _child_states(seeds: Sequence[int], keys: Sequence[int] | None) -> np.ndarray:
+    """``SeedSequence(seed, spawn_key=(key,)).generate_state(4, np.uint64)``
+    for every seed and key, shape (len(seeds), len(keys), 4); with
+    ``keys=None``, that of the root ``SeedSequence(seed)``, shape
+    (len(seeds), 4).
+
+    SeedSequence's ``mix_entropy`` and ``generate_state`` run here as uint32
+    array arithmetic over all pairs at once. The entropy is the seed's
+    32-bit words, least significant first, zero-padded to the pool size,
+    then the key's one word. Padding a keyless seed changes nothing:
+    SeedSequence hashes a zero into every pool word past its entropy.
+    Seeds of 2**128 and up have more words than the pool; they run through
+    the extra-entropy loop, and must then all have the same word count.
+    Keys above 2**32-1 would take two words and raise :class:`DataError`.
+    """
+    seeds = [int(seed) for seed in seeds]
+    counts = [max(1, -(-seed.bit_length() // 32)) for seed in seeds]
+    width = max(_POOL_SIZE, *counts)
+    if width > _POOL_SIZE and min(counts) < width:
+        raise ValueError("seeds of 2**128 and up must share one word count")
+    raw = b"".join(seed.to_bytes(4 * width, "little") for seed in seeds)
+    entropy = list(np.frombuffer(raw, "<u4").reshape(len(seeds), width).T.astype(np.uint32))
+    if keys is not None:
+        keys = np.asarray(keys)
+        if keys.size and not 0 <= keys.min() <= keys.max() <= _MAX_KEY:
+            raise DataError(f"spawn keys must lie in 0..2**32-1, got {keys.min()}..{keys.max()}")
+        entropy = [word[:, None] for word in entropy] + [keys.astype(np.uint32)]
+
+    hash_const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value *= hash_const
+        value ^= value >> 16
+        return value
+
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+
+    hash_const = _INIT_B
+    state = np.empty(np.broadcast_shapes(*(word.shape for word in pool)) + (8,), dtype="<u4")
+    for i in range(8):  # 4 uint64 words, low half first
+        value = pool[i % _POOL_SIZE] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value *= hash_const
+        value ^= value >> 16
+        state[..., i] = value
+    return state.view("<u8").astype(np.uint64, copy=False)
+
+
+def _streams(states: np.ndarray) -> Iterator[np.random.Generator]:
+    """One Generator, set in turn to the PCG64 stream seeded by each row of
+    ``states``, generate_state(4, uint64) words from :func:`_child_states`:
+    the stream that ``default_rng`` builds on that SeedSequence.
+
+    PCG64 takes initstate from words 0-1 and initseq from words 2-3; its
+    seeded state is ``inc = 2*initseq + 1`` and ``(inc + initstate)*M + inc``
+    mod 2**128, set through the public ``PCG64.state``.
+    """
+    bitgen = np.random.PCG64(0)
+    rng = np.random.Generator(bitgen)
+    for team in states.reshape(len(states), -1, 4):  # one .tolist() per team
+        for w0, w1, w2, w3 in team.tolist():
+            inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+            state = ((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _MASK128
+            bitgen.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            yield rng
+
 
 def _gram(codes: np.ndarray, n_categories: int) -> np.ndarray:
-    """G[r, s]: the number of items on which raters r and s agree, from a
-    (k, items) label-code grid."""
-    k = len(codes)
-    by_item = np.ascontiguousarray(codes.T, dtype=np.min_scalar_type(n_categories - 1))
-    gram = np.zeros((k, k), dtype=np.int64)
-    step = max(1, _BLOCK_BYTES // (k * k))
-    for start in range(0, len(by_item), step):
-        block = by_item[start : start + step]
-        gram += (block[:, :, None] == block[:, None, :]).sum(axis=0, dtype=np.int32)
+    """G[t, r, s]: the number of items on which raters r and s of team t
+    agree, from a (teams, k, items) label-code grid."""
+    n_teams, k, n_items = codes.shape
+    by_item = np.ascontiguousarray(
+        codes.transpose(0, 2, 1), dtype=np.min_scalar_type(n_categories - 1)
+    )
+    gram = np.zeros((n_teams, k, k), dtype=np.int64)
+    step = max(1, _BLOCK_BYTES // (n_teams * k * k))
+    for start in range(0, n_items, step):
+        block = by_item[:, start : start + step, :, None]
+        gram += (block == block.swapaxes(2, 3)).sum(axis=1, dtype=np.int32)
     return gram
 
 
 def _prefix_kappas(codes: np.ndarray, n_categories: int, perms: np.ndarray) -> np.ndarray:
-    """kappa_2..kappa_k of every prefix of every ordering, shape (m, k-1).
+    """kappa_2..kappa_k of every prefix of every ordering of every team,
+    shape (teams, m, k-1).
 
-    ``codes`` is the team's (k, items) label-code grid and row r of
-    ``perms`` an ordering of its rows. Two tables are built once: the Gram
-    matrix G (:func:`_gram`) and the per-rater category totals C[r, :].
-    For the first n raters of an ordering, S is the sum of G over the
-    leading n x n block, accumulated as each rater's agreements with
-    itself and with the raters before it, and T is the cumulative sum of
-    C. Both stay integers until :func:`kappasim.agreement._kappa` makes
-    its one division, so the full prefix equals the whole-team kappa
-    bitwise, whatever the ordering.
+    ``codes`` stacks the teams' (k, items) label-code grids and
+    ``perms[t]`` holds m orderings of team t's rows. Per team two tables
+    are built once: the Gram matrix G (:func:`_gram`) and the per-rater
+    category totals C[r, :]. For the first n raters of an ordering, S is
+    the sum of G over the leading n x n block, accumulated as each rater's
+    agreements with itself and with the raters before it, and T is the
+    cumulative sum of C. Both stay integers until
+    :func:`kappasim.agreement._kappa` makes its one division, so the full
+    prefix equals the whole-team kappa bitwise, whatever the ordering or
+    the batch. Orderings go through in blocks of about ``_BLOCK_BYTES``;
+    callers keep the number of teams in one call bounded
+    (:func:`_experiments`).
     """
-    k, n_items = codes.shape
-    gram = _gram(codes, n_categories)
-    totals = (codes[:, :, None] == np.arange(n_categories)).sum(axis=1)
+    n_teams, k, n_items = codes.shape
+    m = perms.shape[1]
     ns = np.arange(2, k + 1)
+    rows = codes.reshape(-1, n_items)
+    cells = np.arange(len(rows))[:, None] * n_categories + rows
+    totals = np.bincount(cells.ravel(), minlength=len(rows) * n_categories)
+    totals = totals.reshape(-1, n_categories)
+    gram = _gram(codes, n_categories).reshape(-1, k)
     if n_items * n_items * k**3 >= _FLOAT_EXACT:
         gram, totals, ns = gram.astype(object), totals.astype(object), ns.astype(object)
     lower = np.tri(k, dtype=bool)
+    perms = perms.reshape(-1, k)
     kappas = np.empty((len(perms), k - 1))
     step = max(1, _BLOCK_BYTES // (8 * k * k))
     for start in range(0, len(perms), step):
         p = perms[start : start + step]
-        pairs = gram[p[:, :, None], p[:, None, :]]
-        S = np.cumsum(2 * (pairs * lower).sum(axis=2) - n_items, axis=1)
-        T = np.cumsum(totals[p], axis=1)
-        T2 = (T * T).sum(axis=2)
+        # ordering r is team r // m's, whose rows of both tables start at k * (r // m)
+        q = p + k * (np.arange(start, start + len(p)) // m)[:, None]
+        T2 = np.square(np.cumsum(totals[q], axis=1)).sum(axis=2)
+        pairs = gram[q[:, :, None], p[:, None, :]]
+        pairs *= lower
+        S = np.cumsum(2 * pairs.sum(axis=2) - n_items, axis=1)
+        del pairs  # the largest temporary: not kept alive into the next block
         kappas[start : start + step] = _kappa(S[:, 1:], T2[:, 1:], n_items, ns)[0]
-    return kappas
+    return kappas.reshape(n_teams, m, k - 1)
 
 
 def prefix_kappas(
@@ -218,8 +341,38 @@ def prefix_kappas(
     if sorted(team) != sorted(ordering):
         raise DataError("ordering must be a permutation of the team")
     idx = matrix.rows(ordering)
-    perm = np.arange(len(idx))[None, :]
-    return _prefix_kappas(matrix.codes[idx], len(matrix.categories), perm)[0]
+    perm = np.arange(len(idx))[None, None, :]
+    return _prefix_kappas(matrix.codes[idx][None], len(matrix.categories), perm)[0, 0]
+
+
+def _experiments(
+    matrix: AnnotationMatrix, k: int, m: int, seeds: Sequence[int]
+) -> Iterator[tuple[list[tuple[str, ...]], np.ndarray, np.ndarray]]:
+    """The experiment of :func:`run_experiment` for each seed, in order, in
+    blocks of teams: yields each block's teams, orderings (teams, m, k) and
+    progressions (teams, m, k-1).
+
+    Per block, every ordering is drawn first and one kernel call then
+    computes all the progressions. A block holds about as many orderings
+    as one block of the kernel (``_BLOCK_BYTES`` of temporaries), and at
+    least one team, so memory does not grow with the number of seeds.
+    """
+    n_categories = len(matrix.categories)
+    codes = matrix.codes.astype(np.min_scalar_type(n_categories - 1))
+    roots = _streams(_child_states(seeds, None))
+    step = max(1, _BLOCK_BYTES // (8 * k * k) // m)
+    for first in range(0, len(seeds), step):
+        block = seeds[first : first + step]
+        # block first: zip then stops without taking the next block's root
+        teams = [sample_team(matrix, k, rng) for _, rng in zip(block, roots)]
+        perms = np.empty((len(block), m, k), dtype=np.min_scalar_type(k - 1))
+        perms[...] = np.arange(k)
+        # shuffling arange(k) in place is what Generator.permutation(k) does,
+        # and the swaps it draws do not depend on the dtype
+        for row, rng in zip(perms.reshape(-1, k), _streams(_child_states(block, range(1, m + 1)))):
+            rng.shuffle(row)
+        team_codes = codes[[matrix.rows(team) for team in teams]]
+        yield teams, perms, _prefix_kappas(team_codes, n_categories, perms)
 
 
 def run_experiment(matrix: AnnotationMatrix, config: ExperimentConfig) -> RunSet:
@@ -229,16 +382,13 @@ def run_experiment(matrix: AnnotationMatrix, config: ExperimentConfig) -> RunSet
     child stream, so no run depends on another. The orderings are drawn
     first, then all m progressions are computed in one batch.
     """
-    root = np.random.default_rng(np.random.SeedSequence(config.seed))
-    team = sample_team(matrix, config.k, root)
-    perms = np.empty((config.m, config.k), dtype=np.int64)
-    for row in range(config.m):
-        rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(row + 1,)))
-        perms[row] = rng.permutation(config.k)
-    codes = matrix.codes[matrix.rows(team)]
-    kappas = _prefix_kappas(codes, len(matrix.categories), perms)
+    teams, perms, kappas = next(_experiments(matrix, config.k, config.m, [config.seed]))
     return RunSet(
-        config=config, team=team, kappa_hat=float(kappas[0, -1]), perms=perms, kappas=kappas
+        config=config,
+        team=teams[0],
+        kappa_hat=float(kappas[0, 0, -1]),
+        perms=perms[0],
+        kappas=kappas[0],
     )
 
 

@@ -8,6 +8,7 @@ tests/data/ as raw.csv / matrix.csv. Without the dataset those checks are
 skipped, not failed. Checks 6-10 are dataset-free and always run.
 """
 
+import io
 import os
 import time
 from contextlib import contextmanager
@@ -29,12 +30,16 @@ from kappasim import (
     load_mapping,
     load_raw,
     preprocess,
+    prefix_kappas,
     read_matrix,
     run_experiment,
     run_variation,
+    sample_team,
     summarize,
+    write_variation,
 )
 from kappasim.cli import main
+from kappasim.mc import column_moments
 
 from conftest import kappa_fraction, matrix_from_codes, random_counts
 
@@ -249,8 +254,28 @@ def test_c08_closed_form_identities():
         assert time.perf_counter() - start < 1.0
 
 
-def test_c09_determinism_and_thread_invariance(tmp_path, monkeypatch, capsys):
-    with criterion("C9 determinism and thread invariance"):
+def numpy_variation(matrix, k, m, j, seed):
+    """mu_bar, sigma_bar and the team kappa-hats of run_variation, rebuilt
+    from NumPy's own SeedSequence and default_rng objects, one stream and
+    one prefix_kappas call at a time."""
+    mu_bar = sigma_bar = np.zeros(k - 1)
+    hats = []
+    for t in range(1, j + 1):
+        sub = int(np.random.SeedSequence(seed, spawn_key=(t,)).generate_state(1, np.uint64)[0])
+        team = sample_team(matrix, k, np.random.default_rng(np.random.SeedSequence(sub)))
+        table = []
+        for r in range(1, m + 1):
+            perm = np.random.default_rng(np.random.SeedSequence(sub, spawn_key=(r,))).permutation(k)
+            table.append(prefix_kappas(matrix, team, [team[i] for i in perm]))
+        mu_t, sigma_t = column_moments(np.array(table))
+        mu_bar = ((t - 1) * mu_bar + mu_t) / t
+        sigma_bar = ((t - 1) * sigma_bar + sigma_t) / t
+        hats.append(table[0][-1])
+    return mu_bar, sigma_bar, hats
+
+
+def test_c09_determinism_and_thread_invariance(tmp_path, capsys):
+    with criterion("C9 determinism"):
         start = time.perf_counter()
         matrix_path = tmp_path / "matrix.csv"
         assert main(
@@ -258,13 +283,13 @@ def test_c09_determinism_and_thread_invariance(tmp_path, monkeypatch, capsys):
              "--seed", "7", "--out", str(matrix_path)]
         ) == 0
 
-        settings = ["1", "1", str(os.cpu_count() or 1)]
-        runs, stats, variation = [], [], []
-        for idx, threads in enumerate(settings):
-            monkeypatch.setenv("KAPPASIM_THREADS", threads)
+        wide_seed = 2**130  # five 32-bit words: past SeedSequence's pool of four
+        runs, stats, variation, wide = [], [], [], []
+        for idx in range(3):
             runs_path = tmp_path / f"runs{idx}.csv"
             stats_path = tmp_path / f"stats{idx}.csv"
             variation_path = tmp_path / f"variation{idx}.csv"
+            wide_path = tmp_path / f"wide{idx}.csv"
             assert main(
                 ["simulate", "--input", str(matrix_path), "--k", "10", "--m", "50",
                  "--seed", "3", "--runs-out", str(runs_path),
@@ -274,13 +299,29 @@ def test_c09_determinism_and_thread_invariance(tmp_path, monkeypatch, capsys):
                 ["variation", "--input", str(matrix_path), "--k", "5", "--m", "20",
                  "--j", "10", "--seed", "4", "--out", str(variation_path)]
             ) == 0
+            assert main(
+                ["variation", "--input", str(matrix_path), "--k", "5", "--m", "20",
+                 "--j", "10", "--seed", str(wide_seed), "--out", str(wide_path)]
+            ) == 0
             runs.append(runs_path.read_bytes())
             stats.append(stats_path.read_bytes())
             variation.append(variation_path.read_bytes())
+            wide.append(wide_path.read_bytes())
 
         assert runs[0] == runs[1] == runs[2]
         assert stats[0] == stats[1] == stats[2]
         assert variation[0] == variation[1] == variation[2]
+        assert wide[0] == wide[1] == wide[2]
+        # the wide seed's streams are NumPy's, and the file is that table
+        matrix = read_matrix(matrix_path)
+        table = run_variation(matrix, VariationConfig(k=5, m=20, j=10, seed=wide_seed))
+        mu_bar, sigma_bar, hats = numpy_variation(matrix, 5, 20, 10, wide_seed)
+        assert np.array_equal(table.mu_bar, mu_bar)
+        assert np.array_equal(table.sigma_bar, sigma_bar)
+        assert list(table.team_kappa_hats) == hats
+        out = io.StringIO()
+        write_variation(table, out)
+        assert wide[0] == out.getvalue().encode()
         assert time.perf_counter() - start < 60.0
 
 

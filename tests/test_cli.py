@@ -142,6 +142,17 @@ class TestPreprocess:
         )
         assert code == 2
 
+    def test_extra_survey_field_is_data_error(self, tmp_path, capsys):
+        raw = tmp_path / "raw.csv"
+        cfg = tmp_path / "mapping.cfg"
+        raw.write_text(RAW.replace("Neutral\n", "Neutral,EXTRA\n"), encoding="utf-8")
+        cfg.write_text(MAPPING, encoding="utf-8")
+        out = tmp_path / "matrix.csv"
+        argv = ["preprocess", "--raw", str(raw), "--mapping", str(cfg), "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"kappasim: error: {raw}:5: malformed survey row\n"
+        assert not out.exists()
+
     def test_multi_character_delimiter(self, tmp_path, capsys):
         raw = tmp_path / "raw.csv"
         cfg = tmp_path / "mapping.cfg"
@@ -402,6 +413,17 @@ class TestIntervals:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "kappasim: error: kappa_hat must be finite, got inf\n"
+
+    def test_non_finite_kappa_hat_with_every_cv_undefined(self, tmp_path, capsys):
+        source = tmp_path / "variation.csv"
+        source.write_text(
+            "n,mu_bar,sigma_bar,cv,cv_percent\n2,0.000000,0.100000,nan,nan\n", encoding="utf-8"
+        )
+        out = tmp_path / "intervals.csv"
+        argv = ["intervals", "--variation", str(source), "--kappa-hat", "inf", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "kappasim: error: kappa_hat must be finite, got inf\n"
+        assert not out.exists()
 
     def test_cv_requires_n(self, capsys):
         assert main(["intervals", "--cv", "0.2", "--kappa-hat", "0.3"]) == 1

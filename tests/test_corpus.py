@@ -324,6 +324,31 @@ class TestLoadRaw:
         raw = load_raw(path, load_mapping(map_path))
         assert raw.ids == ("row0001",)
 
+    def test_extra_fields_rejected(self, tmp_path, mapping):
+        path = tmp_path / "raw.csv"
+        # the quoted field spans two lines, so the bad row starts on line 4
+        path.write_text(
+            raw_csv(
+                [
+                    'r1,Yes,Yes,Positive,Neutral,"Nega\ntive"',
+                    "r2,Yes,Yes,Positive,Neutral,Negative,EXTRA",
+                ]
+            )
+        )
+        with pytest.raises(DataError, match=r"raw\.csv:4: malformed survey row$"):
+            load_raw(path, mapping)
+
+    def test_trailing_delimiter_is_an_extra_field(self, tmp_path, mapping):
+        path = tmp_path / "raw.csv"
+        path.write_text(raw_csv(["r1,Yes,Yes,Positive,Neutral,Negative,"]))
+        with pytest.raises(DataError, match=r"raw\.csv:2: malformed survey row$"):
+            load_raw(path, mapping)
+
+    def test_short_row_reads_as_missing(self, tmp_path, mapping):
+        path = tmp_path / "raw.csv"
+        path.write_text(raw_csv(["r1,Yes,Yes,Positive"]))
+        assert load_raw(path, mapping).rows[0]["s2"] is None
+
     def test_empty_file(self, tmp_path, mapping):
         path = tmp_path / "raw.csv"
         path.write_text("")
