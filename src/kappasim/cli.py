@@ -171,13 +171,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     else:
         ns, table = read_runs(args.runs)
         stats = summarize_table(ns, table)
-    k = args.k if args.k is not None else stats.ns[-1]
-    kappa_hat = args.kappa_hat
-    if kappa_hat is None:
-        if stats.ns[-1] != k:
-            raise DataError(f"stats cover n up to {stats.ns[-1]}, expected k={k}")
-        kappa_hat = float(stats.means[-1])
-    points = extract_minima(stats, kappa_hat, k, include_final=not args.drop_final)
+    kappa_hat = float(stats.means[-1]) if args.kappa_hat is None else args.kappa_hat
+    points = extract_minima(stats, kappa_hat, stats.ns[-1], include_final=not args.drop_final)
     result = fit(points, args.stage)
     report = fit_report_json(result) if args.json else format_fit_report(result)
     with open_text_dest(args.out) as fh:
@@ -273,12 +268,15 @@ def build_parser() -> _Parser:
     p.add_argument("--stats-out", help="stats output path (default: stdout)")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("fit", help="fit the minimum-agreement model to experiment output")
+    # No abbreviations: `--k` (k is always the input's largest n) must be a
+    # usage error, not `--kappa-hat`.
+    p = sub.add_parser(
+        "fit", help="fit the minimum-agreement model to experiment output", allow_abbrev=False
+    )
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--stats", help="stats file from simulate")
     source.add_argument("--runs", help="runs file from simulate")
     p.add_argument("--stage", choices=STAGES, default="S0")
-    p.add_argument("--k", type=int, help="team size (default: largest n in the input)")
     p.add_argument("--kappa-hat", type=float, help="full-team agreement (default: from input)")
     p.add_argument(
         "--drop-final",

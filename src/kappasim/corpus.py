@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -67,56 +67,7 @@ def write_table(
         writer.writerows(rows)
 
 
-_CHUNK_ROWS = 2048  # rows read_table hands over at a time
-
-
-def read_table(
-    path: str | Path, header: Sequence[str], what: str
-) -> Iterator[tuple[Sequence[int], list[list[str]]]]:
-    """Read a CSV table with exactly ``header`` as its first row.
-
-    Yields the data rows in chunks, as (record numbers, string fields), so
-    that memory holds one chunk of the file's strings, not all of them.
-    Records are numbered from 1 for the header; :func:`_row_error` turns a
-    record number into the line it starts on.
-    UTF-8 with an optional BOM; blank rows are skipped. Raises
-    :class:`DataError` for a different header, a row without exactly one
-    field per header column, or a file with no data rows; ``what`` names
-    the table in the messages.
-    """
-    path = Path(path)
-    with open_text_source(path, what) as fh:
-        reader = csv.reader(fh)
-        if tuple(h.strip() for h in next(reader, ())) != tuple(header):
-            raise DataError(f"{path}: expected header '{','.join(header)}'")
-        empty, next_record = True, 2
-        while rows := list(itertools.islice(reader, _CHUNK_ROWS)):
-            records: Sequence[int] = range(next_record, next_record + len(rows))
-            next_record += len(rows)
-            if not all(rows):  # a blank line reads as []
-                records = [record for record, row in zip(records, rows) if row]
-                rows = [row for row in rows if row]
-            if set(map(len, rows)) - {len(header)}:
-                bad = next(i for i, row in enumerate(rows) if len(row) != len(header))
-                raise _row_error(path, records[bad], f"malformed {what} row")
-            if rows:
-                empty = False
-                yield records, rows
-    if empty:
-        raise DataError(f"{path}: no {what} rows")
-
-
-def _row_error(path: str | Path, record: int, message: str) -> DataError:
-    """A ``path:line: message`` error for CSV record number ``record``
-    (the header is record 1), naming the physical line the record starts
-    on. A quoted field may span lines, so the file is rescanned to count
-    them; that happens only here, on the error path."""
-    with open(path, encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        for _ in itertools.islice(reader, record - 1):
-            pass
-        return DataError(f"{path}:{reader.line_num + 1}: {message}")
-
+_CHUNK_ROWS = 2048  # rows parsed at a time, so memory holds one chunk of strings
 
 # How read_columns parses each kind of column, and the check its values
 # must pass: "nan" marks an undefined value only where a table allows it.
@@ -127,7 +78,9 @@ _COLUMN_KINDS = {
 }
 
 
-def _cell_ok(kind: str, cell: str) -> bool:
+def _cell_ok(kind: str | dict[str, int], cell: str) -> bool:
+    if isinstance(kind, dict):
+        return True
     parse, check = _COLUMN_KINDS[kind]
     try:
         value = parse(cell)
@@ -137,27 +90,76 @@ def _cell_ok(kind: str, cell: str) -> bool:
 
 
 def read_columns(
-    path: str | Path, header: Sequence[str], what: str, kinds: Sequence[str]
+    path: str | Path, header: Sequence[str], what: str, kinds: Sequence[str | dict[str, int]]
 ) -> list[np.ndarray]:
-    """Read a table as in :func:`read_table`, one array per column.
+    """Read a CSV table with exactly ``header`` as its first row, one array
+    per column. Every kappasim table is read here, by these rules:
 
-    ``kinds`` gives each column's kind: ``"int"``, ``"float"`` (finite) or
-    ``"float_or_nan"``. Cells are parsed by Python's ``int``/``float``. A
-    bad cell raises :class:`DataError` naming its line.
+    - UTF-8, with or without a byte-order mark; a missing file raises
+      FileNotFoundError naming the table (``what``);
+    - the header cells, stripped of surrounding spaces, equal ``header``;
+    - blank rows are skipped;
+    - every other row has exactly one field per header column;
+    - each cell parses as its column's kind: ``"int"``, ``"float"``
+      (finite) or ``"float_or_nan"`` (by Python's ``int``/``float``), or,
+      for a dict, any string: the dict numbers the column's strings by
+      first appearance and the column holds those numbers;
+    - at least one data row.
+
+    A broken rule raises :class:`DataError` naming the file; for a bad
+    row, the error names the first malformed line.
     """
+    path = Path(path)
     chunks: list[list[np.ndarray]] = [[] for _ in kinds]
-    for records, rows in read_table(path, header, what):
-        try:
-            for j, (kind, column) in enumerate(zip(kinds, chunks)):
-                parse, check = _COLUMN_KINDS[kind]
-                values = np.array(list(map(parse, map(itemgetter(j), rows))))
-                if check is not None and not check(values).all():
+    with open_text_source(path, what) as fh:
+        reader = csv.reader(fh)
+        if tuple(h.strip() for h in next(reader, ())) != tuple(header):
+            raise DataError(f"{path}: expected header '{','.join(header)}'")
+        while rows := list(itertools.islice(reader, _CHUNK_ROWS)):
+            if not all(rows):  # a blank line reads as []
+                rows = [row for row in rows if row]
+                if not rows:
+                    continue
+            try:
+                if set(map(len, rows)) - {len(header)}:
                     raise ValueError
-                column.append(values)
-        except ValueError:
-            bad = next(i for i, row in enumerate(rows) if not all(map(_cell_ok, kinds, row)))
-            raise _row_error(path, records[bad], f"malformed {what} row") from None
+                for j, (kind, column) in enumerate(zip(kinds, chunks)):
+                    cells = map(itemgetter(j), rows)
+                    if isinstance(kind, dict):
+                        values = np.array([kind.setdefault(c, len(kind)) for c in cells])
+                    else:
+                        parse, check = _COLUMN_KINDS[kind]
+                        values = np.array(list(map(parse, cells)))
+                        if check is not None and not check(values).all():
+                            raise ValueError
+                    column.append(values)
+            except ValueError:
+                raise _row_error(
+                    path,
+                    lambda row: len(row) != len(header) or not all(map(_cell_ok, kinds, row)),
+                    f"malformed {what} row",
+                ) from None
+    if not chunks[0]:
+        raise DataError(f"{path}: no {what} rows")
     return [np.concatenate(column) for column in chunks]
+
+
+def _row_error(
+    path: str | Path, is_bad: Callable[[list[str]], bool], message: str, delimiter: str = ","
+) -> DataError:
+    """A ``path:line: message`` error naming the physical line of the first
+    data row (blank rows skipped) where ``is_bad(row)`` holds. A quoted
+    field may span lines, so the file is rescanned to count them; that
+    happens only here, on the error path."""
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh, delimiter=delimiter)
+        next(reader, None)  # the header
+        line = reader.line_num + 1  # where the next row starts
+        for row in reader:
+            if row and is_bad(row):
+                break
+            line = reader.line_num + 1
+    return DataError(f"{path}:{line}: {message}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -382,17 +384,16 @@ def load_raw(path: str | Path, mapping: ColumnMapping) -> RawSurveyTable:
         if missing:
             raise DataError(f"{path}: missing mapped column(s): {', '.join(missing)}")
         rows: list[dict[str, str | None]] = []
-        line = reader.line_num + 1  # where the next record starts
         for record in reader:
             if len(record) > len(header):
-                raise DataError(f"{path}:{line}: malformed survey row")
-            line = reader.line_num + 1
-            if not record:
-                continue
-            row: dict[str, str | None] = {
-                col: (record[i] if i < len(record) else None) for i, col in enumerate(header)
-            }
-            rows.append(row)
+                raise _row_error(
+                    path, lambda row: len(row) > len(header), "malformed survey row",
+                    mapping.delimiter,
+                )
+            if record:
+                rows.append(
+                    {col: (record[i] if i < len(record) else None) for i, col in enumerate(header)}
+                )
     if mapping.respondent_id_col is not None:
         ids = tuple((row.get(mapping.respondent_id_col) or "").strip() for row in rows)
         if len(set(ids)) != len(ids):
@@ -533,30 +534,19 @@ def read_matrix(path: str | Path) -> AnnotationMatrix:
     belongs to it, otherwise the distinct tokens in first-appearance order.
     """
     # Number raters, items and tokens by first appearance: dict lookups
-    # keep the read linear, and four integer columns (record, rater, item,
-    # token) replace the strings of every cell.
+    # keep the read linear, and three integer columns replace the strings
+    # of every cell.
     raters: dict[str, int] = {}
     items: dict[str, int] = {}
     tokens: dict[str, int] = {}
-    chunks = [
-        np.array(
-            [
-                records,
-                [raters.setdefault(r, len(raters)) for r, _, _ in rows],
-                [items.setdefault(i, len(items)) for _, i, _ in rows],
-                [tokens.setdefault(t, len(tokens)) for _, _, t in rows],
-            ]
-        )
-        for records, rows in read_table(path, MATRIX_HEADER, "matrix")
-    ]
-    records, rater_idx, item_idx, token_idx = np.concatenate(chunks, axis=1)
-
-    for token, code in tokens.items():  # in first-appearance order
+    rater_idx, item_idx, token_idx = read_columns(
+        path, MATRIX_HEADER, "matrix", (raters, items, tokens)
+    )
+    for token in tokens:  # in first-appearance order
         # Tokens are case-sensitive; a case-variant of a canonical label is
         # a data defect, not a new category.
         if token not in SENTIMENT_CATEGORIES and token.lower() in SENTIMENT_CATEGORIES:
-            record = int(records[np.argmax(token_idx == code)])
-            raise _row_error(path, record, f"unknown label token {token!r}")
+            raise _row_error(path, lambda row: row[2] == token, f"unknown label token {token!r}")
     inferred = set(tokens) <= set(SENTIMENT_CATEGORIES)
     cats = SENTIMENT_CATEGORIES if inferred else tuple(tokens)
     rater_names, item_names = list(raters), list(items)
@@ -567,18 +557,19 @@ def read_matrix(path: str | Path) -> AnnotationMatrix:
     present[cell] = True
     if np.count_nonzero(present) != len(cell):
         seen: set[int] = set()
-        row = next(j for j, c in enumerate(cell.tolist()) if c in seen or seen.add(c))
-        rater, item = divmod(int(cell[row]), len(items))
+        r, i = divmod(next(c for c in cell.tolist() if c in seen or seen.add(c)), len(items))
+        rater, item = rater_names[r], item_names[i]
+        copies = itertools.count()  # the duplicate is that cell's second row
         raise _row_error(
             path,
-            int(records[row]),
-            f"duplicate cell for rater {rater_names[rater]!r}, item {item_names[item]!r}",
+            lambda row: row[:2] == [rater, item] and next(copies) == 1,
+            f"duplicate cell for rater {rater!r}, item {item!r}",
         )
     if len(cell) != n_cells:
-        rater, item = divmod(int(np.argmin(present)), len(items))
+        r, i = divmod(int(np.argmin(present)), len(items))
         raise DataError(
-            f"{path}: incomplete matrix: rater {rater_names[rater]!r} has no label for "
-            f"item {item_names[item]!r}"
+            f"{path}: incomplete matrix: rater {rater_names[r]!r} has no label for "
+            f"item {item_names[i]!r}"
         )
     codes = np.empty(n_cells, dtype=np.int64)
     codes[cell] = np.array([cats.index(t) for t in tokens])[token_idx]

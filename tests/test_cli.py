@@ -227,15 +227,14 @@ class TestSimulate:
             )
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    def test_thread_env_does_not_change_output(self, matrix_file, tmp_path, capsys, monkeypatch):
+    def test_same_seed_writes_identical_runs_file(self, matrix_file, tmp_path, capsys):
         outputs = []
-        for threads in ("1", "4"):
-            monkeypatch.setenv("KAPPASIM_THREADS", threads)
-            runs = tmp_path / f"runs-{threads}.csv"
+        for attempt in ("1", "2"):
+            runs = tmp_path / f"runs-{attempt}.csv"
             assert main(
                 ["simulate", "--input", str(matrix_file), "--k", "5", "--m", "10",
                  "--seed", "2", "--runs-out", str(runs), "--stats-out",
-                 str(tmp_path / f"stats-{threads}.csv")]
+                 str(tmp_path / f"stats-{attempt}.csv")]
             ) == 0
             outputs.append(runs.read_bytes())
         assert outputs[0] == outputs[1]
@@ -308,9 +307,10 @@ class TestFit:
         _, stats = experiment_files
         assert main(["fit", "--stats", str(stats), "--stage", "S9"]) == 1
 
-    def test_k_must_match_stats_when_kappa_hat_inferred(self, experiment_files, capsys):
+    def test_k_is_not_an_option(self, experiment_files, capsys):
+        # k is always the input's largest n; `--k` is not read as `--kappa-hat`
         _, stats = experiment_files
-        assert main(["fit", "--stats", str(stats), "--k", "5"]) == 2
+        assert main(["fit", "--stats", str(stats), "--k", "6"]) == 1
 
     @pytest.mark.parametrize("stage,kappa_hat", [("S0", "nan"), ("S4", "nan"), ("S0", "inf")])
     def test_non_finite_kappa_hat_is_data_error(self, experiment_files, capsys, stage, kappa_hat):

@@ -23,6 +23,7 @@ from kappasim import (
     RunSet,
     SubsetStats,
     VariationTable,
+    generate_synthetic,
     read_matrix,
     read_minima,
     read_runs,
@@ -34,7 +35,9 @@ from kappasim import (
     write_stats,
     write_variation,
 )
-from kappasim.corpus import MATRIX_HEADER, write_table
+from kappasim.cli import main
+from kappasim.corpus import MATRIX_HEADER, read_columns, write_table
+from kappasim.mc import RUNS_HEADER
 
 from conftest import label
 
@@ -147,10 +150,18 @@ def test_first_malformed_line_is_named(tmp_path):
     path = write_lines(tmp_path / "runs.csv", ["run_id,n,kappa", "1,2,0.5", "1,3,nan", "x,4,0.1"])
     with raises_at(path, 3, "runs"):
         read_runs(path)
+    # a bad cell before a wrong field count: the bad cell's line is named
+    write_lines(path, ["run_id,n,kappa", "1,2,nan", "1,3,0.5,junk"])
+    with raises_at(path, 2, "runs"):
+        read_runs(path)
 
 
-@pytest.mark.parametrize("defect", ["extra field", "bad value"])
-def test_error_names_the_physical_line_after_a_multi_line_field(table, defect):
+@pytest.mark.parametrize(
+    "defect, filler",
+    [("extra field", 0), ("bad value", 0), ("bad value", 3000)],
+    ids=["extra field", "bad value", "bad value past the first chunk"],
+)
+def test_error_names_the_physical_line_after_a_multi_line_field(table, defect, filler):
     what, reader, header, rows, path = table
     if defect == "extra field":
         bad, message = rows[1] + ",junk", f"malformed {what} row"
@@ -159,10 +170,11 @@ def test_error_names_the_physical_line_after_a_multi_line_field(table, defect):
     else:
         bad, message = rows[1].rsplit(",", 1)[0] + ",zzz", f"malformed {what} row"
     # the first header cell is quoted over lines 1-3 (spaces around header
-    # cells are ignored), so the bad row is CSV record 4 on line 6
+    # cells are ignored), so without filler the bad row is on line 6
     first, rest = header.split(",", 1)
-    write_lines(path, [f'"{first}\n\n",{rest}', rows[0], "", bad])
-    with pytest.raises(DataError, match=re.escape(f"{path}:6: {message}")):
+    fill = [f"f{i},s1,positive" if what == "matrix" else rows[0] for i in range(filler)]
+    write_lines(path, [f'"{first}\n\n",{rest}', rows[0], *fill, "", bad])
+    with pytest.raises(DataError, match=re.escape(f"{path}:{6 + filler}: {message}")):
         reader(path)
 
 
@@ -178,6 +190,30 @@ def test_matrix_errors_name_the_physical_line_after_multi_line_ids(tmp_path):
     write_lines(path, ["rater,item,label", f"{two_lines},s1,positive", f"{two_lines},s1,neutral"])
     with pytest.raises(DataError, match=re.escape(f"{path}:4: duplicate cell for rater 'a\\nb'")):
         read_matrix(path)
+
+
+def test_a_chunk_of_blank_lines_changes_nothing(tmp_path, capsys):
+    matrix = generate_synthetic(4, 3, noise=0.5, seed=1)
+    plain = {"matrix": tmp_path / "matrix.csv", "runs": tmp_path / "runs.csv"}
+    write_matrix(matrix, plain["matrix"])
+    assert main(["simulate", "--input", str(plain["matrix"]), "--m", "5",
+                 "--runs-out", str(plain["runs"]), "--stats-out", str(tmp_path / "stats.csv")]) == 0
+    for what, header, kinds in (
+        ("matrix", MATRIX_HEADER, lambda: ({}, {}, {})),  # fresh dicts for each read
+        ("runs", RUNS_HEADER, lambda: ("int", "int", "float")),
+    ):
+        lines = plain[what].read_text(encoding="utf-8").splitlines()
+        blank = write_lines(tmp_path / f"blank-{what}.csv", [*lines[:3], *[""] * 5000, *lines[3:]])
+        columns = read_columns(blank, header, what, kinds())
+        assert [c.dtype for c in columns[:2]] == [np.dtype(np.int64)] * 2
+        for got, want in zip(columns, read_columns(plain[what], header, what, kinds())):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert read_matrix(tmp_path / "blank-matrix.csv") == matrix
+    minima = []
+    for runs in (plain["runs"], tmp_path / "blank-runs.csv"):
+        minima.append(runs.with_suffix(".minima"))
+        assert main(["fit", "--runs", str(runs), "--minima-out", str(minima[-1])]) == 0
+    assert minima[0].read_bytes() == minima[1].read_bytes()
 
 
 def test_nan_marks_undefined_cv(tmp_path):
