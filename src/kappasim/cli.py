@@ -61,6 +61,11 @@ REPORT_HEADER = ("total_in", "removed_non_developers", "removed_incomplete", "re
 
 
 class _Parser(argparse.ArgumentParser):
+    # No abbreviations, here and in every subcommand (add_subparsers builds
+    # them with this class): `--k` must not be read as `--kappa-hat`.
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     # argparse exits with 2 on usage errors; this tool reserves 2 for data
     # errors, so remap to 1.
     def error(self, message: str) -> NoReturn:
@@ -268,11 +273,7 @@ def build_parser() -> _Parser:
     p.add_argument("--stats-out", help="stats output path (default: stdout)")
     p.set_defaults(func=_cmd_simulate)
 
-    # No abbreviations: `--k` (k is always the input's largest n) must be a
-    # usage error, not `--kappa-hat`.
-    p = sub.add_parser(
-        "fit", help="fit the minimum-agreement model to experiment output", allow_abbrev=False
-    )
+    p = sub.add_parser("fit", help="fit the minimum-agreement model to experiment output")
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--stats", help="stats file from simulate")
     source.add_argument("--runs", help="runs file from simulate")

@@ -10,8 +10,9 @@ from __future__ import annotations
 import csv
 import itertools
 import sys
+import typing
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
@@ -69,22 +70,23 @@ def write_table(
 
 _CHUNK_ROWS = 2048  # rows parsed at a time, so memory holds one chunk of strings
 
-# How read_columns parses each kind of column, and the check its values
-# must pass: "nan" marks an undefined value only where a table allows it.
+# Per column kind: how read_columns parses a cell, the dtype the values
+# must fit, and their check ("nan" marks an undefined value only where a
+# table allows it).
 _COLUMN_KINDS = {
-    "int": (int, None),
-    "float": (float, np.isfinite),
-    "float_or_nan": (float, lambda values: ~np.isinf(values)),
+    "int": (int, np.int64, None),
+    "float": (float, np.float64, np.isfinite),
+    "float_or_nan": (float, np.float64, lambda values: ~np.isinf(values)),
 }
 
 
 def _cell_ok(kind: str | dict[str, int], cell: str) -> bool:
     if isinstance(kind, dict):
         return True
-    parse, check = _COLUMN_KINDS[kind]
+    parse, dtype, check = _COLUMN_KINDS[kind]
     try:
-        value = parse(cell)
-    except ValueError:
+        value = dtype(parse(cell))
+    except (ValueError, OverflowError):
         return False
     return check is None or bool(check(value))
 
@@ -100,10 +102,10 @@ def read_columns(
     - the header cells, stripped of surrounding spaces, equal ``header``;
     - blank rows are skipped;
     - every other row has exactly one field per header column;
-    - each cell parses as its column's kind: ``"int"``, ``"float"``
-      (finite) or ``"float_or_nan"`` (by Python's ``int``/``float``), or,
-      for a dict, any string: the dict numbers the column's strings by
-      first appearance and the column holds those numbers;
+    - each cell parses as its column's kind: ``"int"`` (within int64),
+      ``"float"`` (finite) or ``"float_or_nan"`` (by Python's int and
+      float), or, for a dict, any string: the dict numbers the column's
+      strings by first appearance and the column holds those numbers;
     - at least one data row.
 
     A broken rule raises :class:`DataError` naming the file; for a bad
@@ -128,12 +130,12 @@ def read_columns(
                     if isinstance(kind, dict):
                         values = np.array([kind.setdefault(c, len(kind)) for c in cells])
                     else:
-                        parse, check = _COLUMN_KINDS[kind]
-                        values = np.array(list(map(parse, cells)))
+                        parse, dtype, check = _COLUMN_KINDS[kind]
+                        values = np.array(list(map(parse, cells)), dtype=dtype)
                         if check is not None and not check(values).all():
                             raise ValueError
                     column.append(values)
-            except ValueError:
+            except (ValueError, OverflowError):
                 raise _row_error(
                     path,
                     lambda row: len(row) != len(header) or not all(map(_cell_ok, kinds, row)),
@@ -230,8 +232,6 @@ class AnnotationMatrix:
             return False
         if set(self.categories) != set(other.categories):
             return False
-        if self.categories == other.categories:
-            return bool(np.array_equal(self.codes, other.codes))
         remap = np.array([self.categories.index(c) for c in other.categories])
         return bool(np.array_equal(self.codes, remap[other.codes]))
 
@@ -287,33 +287,20 @@ class ColumnMapping:
         return tuple(cols)
 
 
-_MAPPING_LIST_KEYS = (
-    "label_cols",
-    "positive_values",
-    "neutral_values",
-    "negative_values",
-    "no_values",
-    "missing_values",
-)
-_MAPPING_SCALAR_KEYS = (
-    "computer_scientist_col",
-    "programming_experience_col",
-    "respondent_id_col",
-    "delimiter",
-)
-
-
 def load_mapping(path: str | Path) -> ColumnMapping:
     """Parse a key=value mapping config file.
 
     Lines are ``key = value``; blank lines and ``#`` comments are ignored.
-    List-valued keys take comma-separated tokens. ``delimiter`` accepts
-    the two-character escape ``\\t`` for tab-separated files.
+    The keys are the fields of :class:`ColumnMapping`; those without a
+    default are required. Tuple fields take comma-separated tokens, and
+    any other value may be the escape ``\\t`` for a tab (a tab-separated
+    survey's ``delimiter``).
     """
     path = Path(path)
     with open_text_source(path, "mapping") as fh:
         text = fh.read()
-    fields: dict[str, object] = {}
+    types = typing.get_type_hints(ColumnMapping)
+    values: dict[str, object] = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -322,16 +309,16 @@ def load_mapping(path: str | Path) -> ColumnMapping:
             raise DataError(f"{path}:{lineno}: expected key = value")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key in _MAPPING_LIST_KEYS:
-            fields[key] = tuple(tok.strip() for tok in value.split(",") if tok.strip())
-        elif key in _MAPPING_SCALAR_KEYS:
-            fields[key] = "\t" if value == "\\t" else value
-        else:
+        if key not in types:
             raise DataError(f"{path}:{lineno}: unknown mapping key {key!r}")
-    for required in ("computer_scientist_col", "programming_experience_col", "label_cols"):
-        if required not in fields:
-            raise DataError(f"mapping file {path} is missing {required!r}")
-    return ColumnMapping(**fields)  # type: ignore[arg-type]
+        if typing.get_origin(types[key]) is tuple:
+            values[key] = tuple(tok.strip() for tok in value.split(",") if tok.strip())
+        else:
+            values[key] = "\t" if value == "\\t" else value
+    for f in fields(ColumnMapping):
+        if f.default is MISSING and f.name not in values:
+            raise DataError(f"mapping file {path} is missing {f.name!r}")
+    return ColumnMapping(**values)  # type: ignore[arg-type]
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,9 @@ import numpy as np
 from kappasim.agreement import fleiss_kappa
 from kappasim.corpus import AnnotationMatrix, read_columns, write_table
 from kappasim.errors import DataError
-from kappasim.mc import _MAX_KEY, _child_states, _experiments, _freeze_columns, column_moments
+from kappasim.mc import (
+    _MAX_KEY, ExperimentConfig, _child_states, _experiments, _freeze_columns, column_moments
+)
 
 VARIATION_HEADER = ("n", "mu_bar", "sigma_bar", "cv", "cv_percent")
 INTERVALS_HEADER = ("n", "level", "lower", "upper")
@@ -47,14 +49,9 @@ class VariationConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.k < 3:
-            raise DataError(f"team size must be >= 3, got {self.k}")
-        if not 1 <= self.m <= _MAX_KEY:
-            raise DataError(f"repetition count must be in 1..2**32-1, got {self.m}")
+        ExperimentConfig(self.k, self.m, self.seed)  # checks k, m and seed
         if not 1 <= self.j <= _MAX_KEY:
             raise DataError(f"team count must be in 1..2**32-1, got {self.j}")
-        if self.seed < 0:
-            raise DataError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -275,11 +275,6 @@ def fit(points: MinPoints, stage: str) -> ModelFit:
         residuals = ys - predict(theta)
         return float(residuals @ residuals), residuals
 
-    if not free:
-        r2 = r_squared(ys, predict(np.empty(0)))
-        a, b, c, d = full_params(np.empty(0))
-        return ModelFit(stage, a, b, c, d, free, r2, converged=True, iterations=0)
-
     guess = {"d": 2.0, "c": float(ys[0]), "b": k / 10}
     guess["a"] = float(ys[-1]) - guess["c"]
     theta = np.array([guess[name] for name in free], dtype=np.float64)
@@ -288,7 +283,7 @@ def fit(points: MinPoints, stage: str) -> ModelFit:
 
     sse, residuals = sse_of(theta)
     lam = 1e-3
-    converged = False
+    converged = not free  # S0 has nothing to fit: no iterations
     iterations = 0
 
     while iterations < _MAX_ITERATIONS and not converged:
@@ -308,9 +303,7 @@ def fit(points: MinPoints, stage: str) -> ModelFit:
             lam = min(lam * 10.0, 1e12)
             continue
         new_sse, new_residuals = sse_of(candidate)
-        if not math.isfinite(new_sse):
-            lam = min(lam * 10.0, 1e12)
-            continue
+        # An inf or nan SSE fails both tests below, so its step is rejected.
         # The relative-change test also fires on a stalled (rejected) step:
         # at the noise floor every trial step leaves the SSE essentially
         # unchanged, which is convergence, not failure.

@@ -1,11 +1,12 @@
 """End-to-end command tests, run in-process through ``main``."""
 
+import argparse
 import json
 import warnings
 
 import pytest
 
-from kappasim.cli import main
+from kappasim.cli import build_parser, main
 from kappasim import read_matrix
 
 from conftest import TWIN_RHO
@@ -457,3 +458,63 @@ class TestIntervals:
         assert main(
             ["intervals", "--cv", "0.1", "--n", "3", "--kappa-hat", "0.3", "--z", "4"]
         ) == 1
+
+
+BEYOND_INT64 = 99999999999999999999
+
+
+@pytest.mark.parametrize(
+    "argv, what, text",
+    [
+        (["fit"], "stats", "n,min,q1,median,q3,max,mean,std\n2,0.1,0.2,0.3,0.4,0.5,0.3,0.1\n"
+         f"{BEYOND_INT64},0.2,0.2,0.3,0.4,0.4,0.3,0.1\n"),
+        (["intervals", "--kappa-hat", "0.3"], "variation", "n,mu_bar,sigma_bar,cv,cv_percent\n"
+         f"2,0.5,0.1,0.2,20.00\n{BEYOND_INT64},0.4,0.0,0.0,0.00\n"),
+    ],
+    ids=["fit --stats", "intervals --variation"],
+)
+def test_int_beyond_int64_is_data_error(tmp_path, capsys, argv, what, text):
+    source = tmp_path / f"{what}.csv"
+    source.write_text(text, encoding="utf-8")
+    assert main([*argv, f"--{what}", str(source)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"kappasim: error: {source}:3: malformed {what} row\n"
+
+
+# Per subcommand: arguments that run it ({name} fills in a file), one long
+# flag among them, and a prefix of that flag that no other flag shares.
+FULL_SPELLINGS = {
+    "preprocess": (["--raw", "{raw}", "--mapping", "{mapping}", "--out", "{out}"], "--mapping",
+                   "--map"),
+    "synth": (["--raters", "3", "--items", "2", "--out", "{out}"], "--raters", "--rater"),
+    "kappa": (["--input", "{matrix}"], "--input", "--in"),
+    "simulate": (["--input", "{matrix}", "--m", "2", "--stats-out", "{out}"], "--stats-out",
+                 "--stats"),
+    "fit": (["--stats", "{stats}", "--kappa-hat", "0.2", "--out", "{out}"], "--kappa-hat",
+            "--kappa"),
+    "minmodel": (["--n", "3", "--k", "5", "--kappa-hat", "0.2"], "--kappa-hat", "--kappa"),
+    "variation": (["--input", "{matrix}", "--k", "3", "--m", "2", "--j", "2", "--out", "{out}"],
+                  "--input", "--inp"),
+    "intervals": (["--cv", "0.19", "--n", "7", "--kappa-hat", "0.2", "--z", "1"], "--kappa-hat",
+                  "--k"),
+}
+
+
+def test_every_subcommand_has_a_full_spelling_case():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(FULL_SPELLINGS)
+
+
+@pytest.mark.parametrize("command", sorted(FULL_SPELLINGS))
+def test_flags_must_be_spelled_out(command, matrix_file, experiment_files, tmp_path, capsys):
+    args, flag, prefix = FULL_SPELLINGS[command]
+    files = {"raw": tmp_path / "raw.csv", "mapping": tmp_path / "mapping.cfg",
+             "matrix": matrix_file, "stats": experiment_files[1], "out": tmp_path / "out"}
+    files["raw"].write_text(RAW, encoding="utf-8")
+    files["mapping"].write_text(MAPPING, encoding="utf-8")
+    argv = [command, *(arg.format(**files) for arg in args)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main([prefix if arg == flag else arg for arg in argv]) == 1
+    assert "error: " in capsys.readouterr().err

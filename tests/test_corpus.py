@@ -1,4 +1,7 @@
+import dataclasses
 import io
+import re
+import typing
 
 import numpy as np
 import pytest
@@ -219,7 +222,32 @@ missing_values = N/A
 """
 
 
+def mapping_line(f: dataclasses.Field) -> tuple[str, object]:
+    """A ``key = value`` line setting field ``f``, and the value it loads as."""
+    if typing.get_origin(typing.get_type_hints(ColumnMapping)[f.name]) is tuple:
+        return f"{f.name} = x, y", ("x", "y")
+    return f"{f.name} = v", "v"
+
+
+MAPPING_FIELDS = dataclasses.fields(ColumnMapping)
+REQUIRED_FIELDS = [f for f in MAPPING_FIELDS if f.default is dataclasses.MISSING]
+
+
 class TestColumnMapping:
+    @pytest.mark.parametrize("f", MAPPING_FIELDS, ids=lambda f: f.name)
+    def test_every_field_is_a_key(self, tmp_path, f):
+        line, value = mapping_line(f)
+        path = tmp_path / "map.cfg"
+        path.write_text("\n".join([*(mapping_line(r)[0] for r in REQUIRED_FIELDS), line]) + "\n")
+        assert getattr(load_mapping(path), f.name) == value
+
+    @pytest.mark.parametrize("f", REQUIRED_FIELDS, ids=lambda f: f.name)
+    def test_every_field_without_a_default_is_required(self, tmp_path, f):
+        path = tmp_path / "map.cfg"
+        path.write_text("".join(mapping_line(r)[0] + "\n" for r in REQUIRED_FIELDS if r is not f))
+        with pytest.raises(DataError, match=re.escape(f"is missing {f.name!r}")):
+            load_mapping(path)
+
     def test_load_mapping(self, tmp_path):
         path = tmp_path / "map.cfg"
         path.write_text(MAPPING_TEXT)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -18,6 +19,7 @@ from kappasim import (
     summarize_table,
     write_minima,
 )
+from kappasim import minfit
 
 
 def model_points(k: int, kappa_hat: float) -> MinPoints:
@@ -250,6 +252,32 @@ class TestFit:
     def test_unknown_stage(self):
         with pytest.raises(DataError, match="unknown stage"):
             fit(model_points(7, 0.22), "S5")
+
+    @pytest.mark.parametrize(
+        "stage, bad_step",
+        [("S1", "singular system"), ("S2", "overflowing SSE")],
+    )
+    def test_a_rejected_step_is_retried(self, monkeypatch, stage, bad_step):
+        # the first solve fails, or returns a step to a = 1e300 whose SSE
+        # overflows; either way the fit rejects it and goes on
+        points = model_points(20, 0.3)
+        plain = fit(points, stage)
+        solve, calls = np.linalg.solve, itertools.count()
+
+        def patched(matrix, rhs):
+            if next(calls):
+                return solve(matrix, rhs)
+            if bad_step == "singular system":
+                raise np.linalg.LinAlgError("Singular matrix")
+            return np.array([1e300, 0.0])
+
+        monkeypatch.setattr(minfit.np.linalg, "solve", patched)
+        with np.errstate(over="ignore"):  # the overflow is the injected fault
+            result = fit(points, stage)
+        assert next(calls) >= 2  # the bad step, then at least one more
+        assert result.converged
+        assert all(math.isfinite(getattr(result, name)) for name in "abcd")
+        assert result.r2 == pytest.approx(plain.r2, abs=1e-9)
 
 
 class TestReportsAndFiles:

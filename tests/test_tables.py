@@ -158,13 +158,17 @@ def test_first_malformed_line_is_named(tmp_path):
 
 @pytest.mark.parametrize(
     "defect, filler",
-    [("extra field", 0), ("bad value", 0), ("bad value", 3000)],
-    ids=["extra field", "bad value", "bad value past the first chunk"],
+    [("extra field", 0), ("bad value", 0), ("bad value", 3000), (2**63, 0), (-(2**63) - 1, 0)],
+    ids=["extra field", "bad value", "bad value past the first chunk", "int above int64",
+         "int below int64"],
 )
 def test_error_names_the_physical_line_after_a_multi_line_field(table, defect, filler):
     what, reader, header, rows, path = table
     if defect == "extra field":
         bad, message = rows[1] + ",junk", f"malformed {what} row"
+    elif isinstance(defect, int):  # in the first column: an int, but a rater id in the matrix
+        bad = f"{defect}," + rows[1].split(",", 1)[1]
+        message = None if what == "matrix" else f"malformed {what} row"
     elif what == "matrix":
         bad, message = rows[1].replace("neutral", "Positive"), "unknown label token 'Positive'"
     else:
@@ -174,8 +178,19 @@ def test_error_names_the_physical_line_after_a_multi_line_field(table, defect, f
     first, rest = header.split(",", 1)
     fill = [f"f{i},s1,positive" if what == "matrix" else rows[0] for i in range(filler)]
     write_lines(path, [f'"{first}\n\n",{rest}', rows[0], *fill, "", bad])
+    if message is None:
+        assert str(defect) in reader(path).raters
+        return
     with pytest.raises(DataError, match=re.escape(f"{path}:{6 + filler}: {message}")):
         reader(path)
+
+
+def test_int_columns_hold_every_int64(tmp_path):
+    lines = ["n,min_kappa", f"{-(2**63)},0.1", f"{2**63 - 1},0.2"]
+    path = write_lines(tmp_path / "minima.csv", lines)
+    ns, _ = read_columns(path, ("n", "min_kappa"), "minima", ("int", "float"))
+    assert ns.dtype == np.int64
+    assert ns.tolist() == [-(2**63), 2**63 - 1]
 
 
 def test_matrix_errors_name_the_physical_line_after_multi_line_ids(tmp_path):
