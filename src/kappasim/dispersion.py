@@ -98,10 +98,11 @@ def run_variation(matrix: AnnotationMatrix, config: VariationConfig) -> Variatio
     fold walks t = 1..j in order, so the procedure is a pure function of
     (matrix, config). These are NumPy's SeedSequence -> PCG64 streams,
     computed with array arithmetic for many teams and orderings at once
-    (see :mod:`kappasim.mc`); teams go through in blocks, each block's
-    progressions from one kernel call, so memory does not grow with j. A
-    spawn key is one 32-bit word, so j and m stay below 2**32. The fold
-    update at t=1 reduces to mu_1 and sigma_1 exactly.
+    (see :mod:`kappasim.mc`). Teams go through in blocks, each block's
+    progressions from one kernel call: the kernel's temporaries stay
+    bounded, while the team seeds, root words and kappa-hats take about
+    120 bytes a team. A spawn key is one 32-bit word, so j and m stay
+    below 2**32. The fold update at t=1 reduces to mu_1 and sigma_1 exactly.
     """
     if config.k > len(matrix.raters):
         raise DataError(

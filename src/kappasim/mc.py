@@ -20,13 +20,13 @@ Determinism contract: the team draw consumes the root stream
 child stream ``default_rng(SeedSequence(seed, spawn_key=(r,)))``, r =
 1..m. Results are therefore bit-identical on every invocation, and the
 first m runs of a longer experiment coincide with the m runs of a shorter
-one. These are NumPy's own SeedSequence -> PCG64 streams, but they are
-not built one object at a time: :func:`_child_states` runs SeedSequence's
-hash (fixed by NEP 19) as uint32 array arithmetic for many runs at once,
-and each run's PCG64 state is then set on one reused generator whose own
-``shuffle`` draws the ordering. A test pins every word and every ordering
-bitwise to the installed NumPy. A spawn key is one 32-bit word, so m (and
-a variation's team count j) must stay below 2**32.
+one. These are NumPy's own SeedSequence -> PCG64 streams, but the
+SeedSequences are not built one object at a time: :func:`_child_states`
+runs SeedSequence's hash (fixed by NEP 19) as uint32 array arithmetic for
+many runs at once, and NumPy's own PCG64 is then seeded from each run's
+computed words (:func:`_streams`). A test pins every word and every
+ordering bitwise to the installed NumPy. A spawn key is one 32-bit word,
+so m (and a variation's team count j) must stay below 2**32.
 """
 
 from __future__ import annotations
@@ -171,10 +171,6 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MAX_KEY = _MASK32
 
-# PCG64's 128-bit LCG multiplier.
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
-
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     result = x * _MIX_MULT_L - y * _MIX_MULT_R
@@ -241,27 +237,22 @@ def _child_states(seeds: Sequence[int], keys: Sequence[int] | None) -> np.ndarra
 
 
 def _streams(states: np.ndarray) -> Iterator[np.random.Generator]:
-    """One Generator, set in turn to the PCG64 stream seeded by each row of
-    ``states``, generate_state(4, uint64) words from :func:`_child_states`:
-    the stream that ``default_rng`` builds on that SeedSequence.
+    """A new Generator per row of :func:`_child_states` words: NumPy's own
+    PCG64 seeds itself from the row as from its SeedSequence, so it is the
+    stream ``default_rng`` builds on that SeedSequence."""
 
-    PCG64 takes initstate from words 0-1 and initseq from words 2-3; its
-    seeded state is ``inc = 2*initseq + 1`` and ``(inc + initstate)*M + inc``
-    mod 2**128, set through the public ``PCG64.state``.
-    """
-    bitgen = np.random.PCG64(0)
-    rng = np.random.Generator(bitgen)
-    for team in states.reshape(len(states), -1, 4):  # one .tolist() per team
-        for w0, w1, w2, w3 in team.tolist():
-            inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
-            state = ((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _MASK128
-            bitgen.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            yield rng
+    # defined per call: subclassing at import would import numpy.random
+    class Words(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
+
+        def generate_state(self, n_words: int, dtype: type = np.uint32) -> np.ndarray:
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError(f"a PCG64 seed is 4 uint64 words, not {n_words} {np.dtype(dtype)}")
+            return self.words
+
+    for words in np.ascontiguousarray(states, dtype=np.uint64).reshape(-1, 4):
+        yield np.random.Generator(np.random.PCG64(Words(words)))
 
 
 def _gram(codes: np.ndarray, n_categories: int) -> np.ndarray:
@@ -355,16 +346,15 @@ def _experiments(
     Per block, every ordering is drawn first and one kernel call then
     computes all the progressions. A block holds about as many orderings
     as one block of the kernel (``_BLOCK_BYTES`` of temporaries), and at
-    least one team, so memory does not grow with the number of seeds.
+    least one team: the kernel's temporaries stay bounded, the root words do not.
     """
     n_categories = len(matrix.categories)
     codes = matrix.codes.astype(np.min_scalar_type(n_categories - 1))
-    roots = _streams(_child_states(seeds, None))
+    roots = _child_states(seeds, None)
     step = max(1, _BLOCK_BYTES // (8 * k * k) // m)
     for first in range(0, len(seeds), step):
         block = seeds[first : first + step]
-        # block first: zip then stops without taking the next block's root
-        teams = [sample_team(matrix, k, rng) for _, rng in zip(block, roots)]
+        teams = [sample_team(matrix, k, rng) for rng in _streams(roots[first : first + step])]
         perms = np.empty((len(block), m, k), dtype=np.min_scalar_type(k - 1))
         perms[...] = np.arange(k)
         # shuffling arange(k) in place is what Generator.permutation(k) does,

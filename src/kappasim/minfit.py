@@ -302,7 +302,8 @@ def fit(points: MinPoints, stage: str) -> ModelFit:
         if not admissible(candidate):
             lam = min(lam * 10.0, 1e12)
             continue
-        new_sse, new_residuals = sse_of(candidate)
+        with np.errstate(over="ignore", invalid="ignore"):
+            new_sse, new_residuals = sse_of(candidate)
         # An inf or nan SSE fails both tests below, so its step is rejected.
         # The relative-change test also fires on a stalled (rejected) step:
         # at the noise floor every trial step leaves the SSE essentially

@@ -272,8 +272,7 @@ class TestFit:
             return np.array([1e300, 0.0])
 
         monkeypatch.setattr(minfit.np.linalg, "solve", patched)
-        with np.errstate(over="ignore"):  # the overflow is the injected fault
-            result = fit(points, stage)
+        result = fit(points, stage)
         assert next(calls) >= 2  # the bad step, then at least one more
         assert result.converged
         assert all(math.isfinite(getattr(result, name)) for name in "abcd")

@@ -1,12 +1,16 @@
 """The vectorized random streams are NumPy's streams, bit for bit.
 
 kappasim computes SeedSequence's hash for every (seed, spawn key) pair at
-once and sets the resulting PCG64 states on one reused generator. These
-tests compare every state word, team draw and ordering with the
-installed NumPy's own SeedSequence and default_rng, and check that the
-stacked prefix kernel gives every team what it gives the team alone.
+once and seeds NumPy's own PCG64 from the resulting words, one new
+generator per pair. These tests compare every state word, team draw and
+ordering with the installed NumPy's own SeedSequence and default_rng, and
+check that the stacked prefix kernel gives every team what it gives the
+team alone.
 """
 
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -14,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import kappasim
 from kappasim import (
     DataError,
     ExperimentConfig,
@@ -91,6 +96,34 @@ def test_streams_draw_numpy_orderings(seed, key_list, k):
         want = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(key,)))
         assert np.array_equal(rng.permutation(k), want.permutation(k))
         assert rng.bit_generator.state == want.bit_generator.state
+
+
+def test_each_stream_is_its_own_generator():
+    # kept together, no stream is moved on by the ones after it
+    streams = list(_streams(_child_states([9], [1, 2, 3])))
+    for key, rng in zip((1, 2, 3), streams):
+        want = np.random.default_rng(np.random.SeedSequence(9, spawn_key=(key,)))
+        assert np.array_equal(rng.permutation(10), want.permutation(10))
+
+
+def test_a_bit_generator_asking_for_other_words_is_refused(monkeypatch):
+    # SFC64 asks its seed for 3 words: drawing would give another stream
+    monkeypatch.setattr(mc.np.random, "PCG64", np.random.SFC64)
+    with pytest.raises(ValueError, match="a PCG64 seed is 4 uint64 words, not 3 uint64"):
+        next(_streams(_child_states([9], [1])))
+
+
+def test_import_does_not_load_numpy_random():
+    # compared with numpy alone, which loads numpy.random itself on NumPy 1.x
+    src = str(Path(kappasim.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import numpy; "
+        "before = 'numpy.random' in sys.modules; import kappasim; "
+        "print(before, 'numpy.random' in sys.modules)"
+    )
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    before, after = run.stdout.split()
+    assert after == before
 
 
 @settings(max_examples=40, deadline=None)
