@@ -1,9 +1,10 @@
 """Command-line interface: file-to-file runs of the full pipeline.
 
 Exit codes: 0 success, 1 usage error, 2 data/validation error, 3 numeric
-failure (fit non-convergence under --strict). Primary output of each
-subcommand goes to its --out/--stats-out path, or to standard output when
-the flag is omitted; progress and context lines go to standard error.
+failure (under fit --strict: the best curve puts the model pole on the
+edge of the data range). Primary output of each subcommand goes to its
+--out/--stats-out path, or to standard output when the flag is omitted;
+progress and context lines go to standard error.
 """
 
 from __future__ import annotations
@@ -186,7 +187,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         write_minima(points, args.minima_out)
     if args.strict and not result.converged:
         print(
-            f"kappasim: fit did not converge within {result.iterations} iterations",
+            f"kappasim: fit did not converge: the best {result.stage} curve (b = {result.b:.12g})"
+            " puts the model pole on the edge of the data range, or |b| at about 1e9",
             file=sys.stderr,
         )
         return 3
@@ -287,7 +289,11 @@ def build_parser() -> _Parser:
     p.add_argument("--minima-out", help="write the extracted minima here")
     p.add_argument("--json", action="store_true", help="emit a JSON report")
     p.add_argument("--out", help="report output path (default: stdout)")
-    p.add_argument("--strict", action="store_true", help="exit 3 if the fit does not converge")
+    p.add_argument(
+        "--strict",
+        action="store_true",
+        help="exit 3 if the best curve puts the model pole on the edge of the data range",
+    )
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("minmodel", help="closed-form minimum-agreement prediction")

@@ -14,10 +14,11 @@ where each stage freezes one more regressor at its empirically stable
 value: S4 fits all of (a, b, c, d); S3 fixes d = 2; S2 additionally fixes
 c = kappa_hat - a; S1 additionally fixes a = 2*kappa_hat; S0 fixes
 b = k/10 and has no free regressors left, which makes it the closed form
-above. The fitter is a damped least-squares loop (Levenberg-Marquardt
-flavor) on the exact Jacobian: with q = b + n - d, dg/da = (n - d)/q,
-dg/db = -a(n - d)/q**2, dg/dc = 1 and dg/dd = -ab/q**2, chained through
-the stage's constant matrix d(a, b, c, d)/d(free regressors).
+above. Since g = (a + c) - a*b/(n + b - d), d enters only through b - d:
+S4 spans exactly S3's curves, so every stage keeps d = 2 and S4 reports
+d as free at that value. For a fixed b the curve is linear in a and c,
+so the fitter solves those in closed form and searches b alone
+(variable projection, Golub & Pereyra 1973).
 """
 
 from __future__ import annotations
@@ -46,9 +47,13 @@ FREE_BY_STAGE: dict[str, tuple[str, ...]] = {
     "S0": (),
 }
 
-_MAX_ITERATIONS = 200
-_SSE_RTOL = 1e-12
 _POLE_EPS = 1e-12
+# the pole n = 2 - b stays 1e-9 outside [2, k]; the search over b runs over
+# log|b - wall| in _LOG_SPAN on each side, refining a 101-point grid 50-fold
+_WALL = 1e-9
+_LOG_SPAN = (math.log(1e-12), math.log(1e9))
+_GRID = 101
+_REFINEMENTS = 8
 
 
 @dataclass(frozen=True)
@@ -94,10 +99,13 @@ class MinPoints:
 class ModelFit:
     """Fitted regressors for one stage.
 
-    ``free`` names the regressors the optimizer moved; the rest carry
-    their stage-mandated values. ``converged`` is False when the
-    iteration cap was hit, in which case (a, b, c, d) is the best point
-    seen, not a failure sentinel.
+    ``free`` names the regressors the fit chose; the rest carry their
+    stage-mandated values (S4's d is free but always 2, see the module
+    docstring). ``converged`` is False when the best curve puts the pole
+    on the edge of the data range (n = 2 or n = k) or sends |b| to the
+    search's far end, about 1e9; (a, b, c, d) is still the best point
+    found, not a failure sentinel. ``iterations`` counts the refinements
+    of the search over b: 8 for a fitted stage, 0 for S0.
     """
 
     stage: str
@@ -126,25 +134,6 @@ def _resolve(
     if stage == "S0":
         b = k / 10
     return float(a), float(b), float(c), float(d)
-
-
-def _stage_map(stage: str) -> np.ndarray:
-    """d(a, b, c, d)/d(free regressors), read off :func:`_resolve`: it is
-    affine with 0/+-1 coefficients, so at kappa_hat = k = 0 column i is
-    exactly _resolve(e_i) - _resolve(0). The matrix times theta puts each
-    free value in its own slot, which is all :func:`_resolve` needs."""
-    origin = _resolve(stage, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    units = np.eye(4)[["abcd".index(name) for name in FREE_BY_STAGE[stage]]]
-    columns = [np.subtract(_resolve(stage, *unit, 0.0, 0.0), origin) for unit in units]
-    return np.reshape(columns, (len(units), 4)).T
-
-
-def _jacobian(ns: np.ndarray, chain: np.ndarray, a: float, b: float, d: float) -> np.ndarray:
-    """d g(ns)/d theta: g's partials in (a, b, c, d) at the given values
-    (dg/dc = 1 whatever c is) times ``chain``, the stage map."""
-    x = ns - d
-    q = b + x
-    return np.column_stack((x / q, -a * x / q**2, np.ones_like(ns), -a * b / q**2)) @ chain
 
 
 def _curve(n: np.ndarray, a: float, b: float, c: float, d: float) -> np.ndarray:
@@ -230,96 +219,68 @@ def extract_minima(
     return MinPoints(points=tuple(points), k=k, kappa_hat=float(kappa_hat))
 
 
+def _profile(
+    stage: str, x: np.ndarray, ys: np.ndarray, kappa_hat: float, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The stage's least-squares a and the SSE at each b of an array.
+
+    With d = 2 and phi = x/(b + x), x = n - 2, the curve is a*phi + c. S4
+    and S3 regress y - mean(y) on phi - mean(phi); the other stages have
+    c = kappa_hat - a, so y - kappa_hat = a*(phi - 1), which S2 solves
+    for a and S1 evaluates at its fixed a.
+    """
+    phi = x / (b[:, None] + x)
+    if "c" in FREE_BY_STAGE[stage]:
+        u, v = phi - phi.mean(axis=1, keepdims=True), ys - ys.mean()
+    else:
+        u, v = phi - 1.0, ys - kappa_hat
+    if "a" in FREE_BY_STAGE[stage]:
+        a = (u @ v) / np.einsum("ij,ij->i", u, u)
+    else:
+        a = np.full(len(b), _resolve(stage, 0.0, 0.0, 0.0, 0.0, kappa_hat, 0.0)[0])
+    residuals = v - a[:, None] * u
+    return a, np.einsum("ij,ij->i", residuals, residuals)
+
+
 def fit(points: MinPoints, stage: str) -> ModelFit:
     """Least-squares fit of the stage's free regressors to minimum points.
 
-    Damped Gauss-Newton iteration: solve (J'J + lam*diag(J'J)) step = J'r,
-    J being the curve's partials in (a, b, c, d) times the stage's chain
-    matrix d(a, b, c, d)/d(free), multiplying lam by 10 on a rejected step
-    and halving it on an accepted one. Steps that would put the model's
-    pole n = d - b inside [2, k] are rejected outright; the model family
-    is only meaningful with the pole outside the data range. Convergence
-    is declared when an accepted step changes the SSE by less than a
-    factor of 1e-12; hitting the iteration cap (200) returns the best
-    parameters found with converged=False rather than raising, so sweeps
-    over many seeds never abort.
-
-    The initial guess reads the data: d0 = 2, c0 = y at the
-    smallest n (the model value at n = 2 is exactly c when d = 2),
-    a0 = y at the largest n minus c0, b0 = k/10.
+    b is searched on each side of the data range, with the pole n = 2 - b
+    below 2 (b > 1e-9) or above k (b < 2 - k - 1e-9), over log|b - wall|
+    from ln 1e-12 to ln 1e9: a 101-point grid, refined 8 times around its
+    argmin, 50-fold each time. At every b the free ones of a and c are
+    solved in closed form (:func:`_profile`); the better side wins. See
+    :class:`ModelFit` for what ``converged`` and ``iterations`` mean. A
+    poor fit is reported, never raised, so sweeps over many seeds never abort.
     """
-    chain = _stage_map(stage)  # raises DataError for an unknown stage
-    free = FREE_BY_STAGE[stage]
+    free = FREE_BY_STAGE.get(stage, ())  # an unknown stage fails in _resolve below
     ns = np.asarray(points.ns, dtype=np.float64)
     ys = np.asarray(points.ys, dtype=np.float64)
     if len(ns) < len(free) + 1:
         raise DataError(f"stage {stage} needs at least {len(free) + 1} points, got {len(ns)}")
-    kappa_hat, k = points.kappa_hat, float(points.k)
+    kappa_hat, k, x = points.kappa_hat, float(points.k), ns - 2.0
 
-    def full_params(theta: np.ndarray) -> tuple[float, float, float, float]:
-        return _resolve(stage, *(chain @ theta), kappa_hat, k)
-
-    def admissible(theta: np.ndarray) -> bool:
-        if not np.all(np.isfinite(theta)):
-            return False
-        _, b, _, d = full_params(theta)
-        pole = d - b
-        if 2.0 - 1e-9 <= pole <= k + 1e-9:
-            return False
-        return not np.any(np.abs(b + ns - d) < _POLE_EPS)
-
-    def predict(theta: np.ndarray) -> np.ndarray:
-        return _curve(ns, *full_params(theta))
-
-    def sse_of(theta: np.ndarray) -> tuple[float, np.ndarray]:
-        residuals = ys - predict(theta)
-        return float(residuals @ residuals), residuals
-
-    guess = {"d": 2.0, "c": float(ys[0]), "b": k / 10}
-    guess["a"] = float(ys[-1]) - guess["c"]
-    theta = np.array([guess[name] for name in free], dtype=np.float64)
-    if not admissible(theta):
-        raise DataError("initial guess places the model pole inside the data range")
-
-    sse, residuals = sse_of(theta)
-    lam = 1e-3
-    converged = not free  # S0 has nothing to fit: no iterations
-    iterations = 0
-
-    while iterations < _MAX_ITERATIONS and not converged:
-        iterations += 1
-        a, b, _, d = full_params(theta)
-        jacobian = _jacobian(ns, chain, a, b, d)
-        jtj = jacobian.T @ jacobian
-        jtr = jacobian.T @ residuals
-        damping = np.maximum(np.diag(jtj), _POLE_EPS)
-        try:
-            delta = np.linalg.solve(jtj + lam * np.diag(damping), jtr)
-        except np.linalg.LinAlgError:
-            lam = min(lam * 10.0, 1e12)
-            continue
-        candidate = theta + delta
-        if not admissible(candidate):
-            lam = min(lam * 10.0, 1e12)
-            continue
-        with np.errstate(over="ignore", invalid="ignore"):
-            new_sse, new_residuals = sse_of(candidate)
-        # An inf or nan SSE fails both tests below, so its step is rejected.
-        # The relative-change test also fires on a stalled (rejected) step:
-        # at the noise floor every trial step leaves the SSE essentially
-        # unchanged, which is convergence, not failure.
-        stalled = abs(sse - new_sse) <= _SSE_RTOL * max(sse, 1e-300)
-        if new_sse < sse:
-            theta, sse, residuals = candidate, new_sse, new_residuals
-            lam = max(lam * 0.5, 1e-12)
-        else:
-            lam = min(lam * 10.0, 1e12)
-        if sse == 0.0 or stalled:
-            converged = True
-
-    a, b, c, d = full_params(theta)
-    r2 = r_squared(ys, predict(theta))
-    return ModelFit(stage, a, b, c, d, free, r2, converged, iterations)
+    a = b = c = math.nan
+    converged, iterations = True, 0
+    if free:
+        walls, signs = np.array([[_WALL], [2.0 - k - _WALL]]), np.array([[1.0], [-1.0]])
+        lo, hi = _LOG_SPAN
+        centre, half = np.full(2, (lo + hi) / 2), (hi - lo) / 2
+        for iterations in range(_REFINEMENTS + 1):
+            t = np.clip(centre[:, None] + np.linspace(-half, half, _GRID), lo, hi)
+            bs = walls + signs * np.exp(t)
+            sse = _profile(stage, x, ys, kappa_hat, bs.ravel())[1].reshape(bs.shape)
+            best = sse.argmin(axis=1)
+            centre, half = t[[0, 1], best], 2 * half / (_GRID - 1)
+            if not iterations:
+                on_edge = (best == 0) | (best == _GRID - 1)
+        side = int(sse[[0, 1], best].argmin())
+        b, converged = float(bs[side, best[side]]), not on_edge[side]
+        a = float(_profile(stage, x, ys, kappa_hat, np.array([b]))[0][0])
+        c = float(np.mean(ys - a * x / (b + x)))  # the least-squares c; S2 and S1 fix c
+    a, b, c, d = _resolve(stage, a, b, c, 2.0, kappa_hat, k)  # DataError for an unknown stage
+    r2 = r_squared(ys, _curve(ns, a, b, c, d))
+    return ModelFit(stage, a, b, c, d, free, r2, bool(converged), iterations)
 
 
 def format_fit_report(result: ModelFit) -> str:

@@ -330,6 +330,24 @@ class TestFit:
             assert main(["fit", "--runs", str(runs)]) == 2
         assert f"{runs}:2: malformed runs row" in capsys.readouterr().err
 
+    def test_strict_exits_3_when_the_pole_is_on_the_edge(self, tmp_path, capsys):
+        # one deep minimum at n = 2, then a flat plateau: S1's fixed a and c
+        # can only follow it by putting the pole at n = 2, while S3 bends
+        # its free a and c to the data with the pole well below 2
+        mins = (-0.9, 0.40, 0.41, 0.40, 0.41, 0.40)
+        stats = tmp_path / "stats.csv"
+        stats.write_text(
+            "n,min,q1,median,q3,max,mean,std\n"
+            + "".join(f"{n},{y},{y},{y},{y},{y},{y},0\n" for n, y in enumerate(mins, 2)),
+            encoding="utf-8",
+        )
+        assert main(["fit", "--stats", str(stats), "--strict", "--stage", "S1"]) == 3
+        captured = capsys.readouterr()
+        assert "converged: false" in captured.out
+        assert "pole on the edge of the data range" in captured.err
+        assert main(["fit", "--stats", str(stats), "--strict", "--stage", "S3"]) == 0
+        assert "converged: true" in capsys.readouterr().out
+
 
 class TestMinModel:
     def test_prediction(self, capsys):

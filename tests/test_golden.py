@@ -45,14 +45,14 @@ GOLDEN = {
     "stats.csv": "d1bcf801f8f2b111707f3230fd20588fb5bf5a6115d59eadf716fbae1d86a6ff",
     "kappa_text.stdout": "1ee08ee6ee1a46e6465e109f02450d89867afa4200d381f8397cbddd955870ed",
     "fit_S0_text.stdout": "d02ed239fa1d0832c43e6519a4dc0f2067d64da6cab1dacdded9f153ec3aa75f",
-    "fit_S4_text.stdout": "1717275c405b0fc6a792851f07bfac100e43253c4d8d487dc878d224432b1557",
+    "fit_S4_text.stdout": "19a9a8a409e47632ac9323353aa6c9dcb954b496d84a5c2364f9608d054ce425",
     "minmodel.stdout": "3980b7c172f11b8f4bcb7839e73bbaaba79a89efbdc09812554287118911b12e",
     "fit_S0.stdout": "7ec773aa4fee70eb3ed8e6630a6ac73559f3d39d78c13e2a5005c9d714569865",
     "minima_S0.csv": "468de92521915885065f07ef2b3e7be7627d7505db925d88ccc63c78efbd40dd",
-    "fit_S1.stdout": "515e215e2f4e01e2634b3340c31a8066c59387977b991d457606e8af18bfcc67",
-    "fit_S2.stdout": "b811febc14f6df8761d560d16d6222797d303e1b1d5fd9045a829b2e98d9d6e2",
-    "fit_S3.stdout": "25adb4cf363295c234ec4f4a8de65d8738a5eaadd5cde44486aa0d335a160188",
-    "fit_S4.stdout": "3341920db4345876183c8d62ca7aaa1c1e39cc33ed89e308b20d77e41680821c",
+    "fit_S1.stdout": "455b8f87dbc76259850bc4f41127c18d6326fea69a9f0c1e39687cdd127b2aad",
+    "fit_S2.stdout": "4c8849fb4a7a4d689c631a783d588aa2ace897882a71db28225cc1b9122cea1f",
+    "fit_S3.stdout": "0211a5ce1ec651f3d14c22226c01303b12d6e48178b946c4bc7f385bc029907f",
+    "fit_S4.stdout": "8152ac5c4e13a15f5dbe413379847c0963ca7f2e70aa8fa936eef6595b628e39",
     "minima_S4.csv": "468de92521915885065f07ef2b3e7be7627d7505db925d88ccc63c78efbd40dd",
     "variation.csv": "01732f190392d4db7f542af50c82695e2017f4e0afb6d7e60991e0357d14dde3",
     "intervals_from_variation.csv": "c5e83f04cffbfa4f54140dd12fc3e509c4561acbed25f2031134204e7b1f23d2",

@@ -1,4 +1,3 @@
-import itertools
 import json
 import math
 
@@ -19,7 +18,6 @@ from kappasim import (
     summarize_table,
     write_minima,
 )
-from kappasim import minfit
 
 
 def model_points(k: int, kappa_hat: float) -> MinPoints:
@@ -253,30 +251,18 @@ class TestFit:
         with pytest.raises(DataError, match="unknown stage"):
             fit(model_points(7, 0.22), "S5")
 
-    @pytest.mark.parametrize(
-        "stage, bad_step",
-        [("S1", "singular system"), ("S2", "overflowing SSE")],
-    )
-    def test_a_rejected_step_is_retried(self, monkeypatch, stage, bad_step):
-        # the first solve fails, or returns a step to a = 1e300 whose SSE
-        # overflows; either way the fit rejects it and goes on
-        points = model_points(20, 0.3)
-        plain = fit(points, stage)
-        solve, calls = np.linalg.solve, itertools.count()
-
-        def patched(matrix, rhs):
-            if next(calls):
-                return solve(matrix, rhs)
-            if bad_step == "singular system":
-                raise np.linalg.LinAlgError("Singular matrix")
-            return np.array([1e300, 0.0])
-
-        monkeypatch.setattr(minfit.np.linalg, "solve", patched)
-        result = fit(points, stage)
-        assert next(calls) >= 2  # the bad step, then at least one more
+    @pytest.mark.parametrize("stage", ["S3", "S4"])
+    @pytest.mark.parametrize("k, gap", [(12, 0.5), (20, 3.0), (45, 30.0)])
+    def test_pole_above_k_is_recovered(self, stage, k, gap):
+        # b = 2 - k - gap puts the pole n = 2 - b above the data range
+        a, b, c = 0.6, 2.0 - k - gap, -0.3
+        ns = range(2, k + 1)
+        pts = tuple((n, a * (n - 2) / (b + n - 2) + c) for n in ns)
+        result = fit(MinPoints(points=pts, k=k, kappa_hat=0.3), stage)
         assert result.converged
-        assert all(math.isfinite(getattr(result, name)) for name in "abcd")
-        assert result.r2 == pytest.approx(plain.r2, abs=1e-9)
+        assert (result.a, result.b, result.c) == pytest.approx((a, b, c), abs=1e-6)
+        assert result.d == 2.0
+        assert result.r2 >= 1 - 1e-9
 
 
 class TestReportsAndFiles:
