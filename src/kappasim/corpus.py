@@ -11,6 +11,7 @@ import csv
 import itertools
 import sys
 import typing
+import warnings
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields
 from operator import itemgetter
@@ -109,9 +110,49 @@ def read_columns(
     - at least one data row.
 
     A broken rule raises :class:`DataError` naming the file; for a bad
-    row, the error names the first malformed line.
+    row, the error names the first malformed line. A numeric table in
+    kappasim's own format parses in one NumPy pass; any other goes through
+    the csv reader by the same rules: the set of accepted files is the same.
     """
     path = Path(path)
+    if all(isinstance(kind, str) for kind in kinds):
+        return _read_numeric(path, header, what, kinds) or _read_csv(path, header, what, kinds)
+    return _read_csv(path, header, what, kinds)
+
+
+def _read_numeric(
+    path: Path, header: Sequence[str], what: str, kinds: Sequence[str]
+) -> list[np.ndarray] | None:
+    """:func:`read_columns` in one ``np.loadtxt`` pass, or None to leave the
+    file to :func:`_read_csv`: on a first line other than the header, a body
+    that is not ASCII or holds ``\\x1c``-``\\x1f`` (NumPy reads those otherwise
+    than Python), any exception or warning (NumPy 1.x reads ``1.0`` into an
+    int column with only a warning), or a failed check."""
+    dtype = [(str(j), _COLUMN_KINDS[kind][1]) for j, kind in enumerate(kinds)]
+    with open_text_source(path, what) as fh:
+        try:  # on any fault the csv reader decides, and names it
+            if tuple(h.strip() for h in fh.readline().split(",")) != tuple(header):
+                return None
+            start, body = fh.tell(), fh.read()
+            if not body.isascii() or any(c in body for c in "\x1c\x1d\x1e\x1f"):
+                return None
+            del body  # not kept alive next to the table
+            fh.seek(start)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                table = np.loadtxt(fh, dtype, delimiter=",", comments=None, quotechar=None, ndmin=1)
+        except Exception:
+            return None
+    columns = [table[name] for name in table.dtype.names]
+    checks = (_COLUMN_KINDS[kind][2] for kind in kinds)
+    ok = len(table) and all(check is None or check(c).all() for check, c in zip(checks, columns))
+    return columns if ok else None
+
+
+def _read_csv(
+    path: Path, header: Sequence[str], what: str, kinds: Sequence[str | dict[str, int]]
+) -> list[np.ndarray]:
+    """:func:`read_columns` by Python's csv reader, a chunk of rows at a time."""
     chunks: list[list[np.ndarray]] = [[] for _ in kinds]
     with open_text_source(path, what) as fh:
         reader = csv.reader(fh)

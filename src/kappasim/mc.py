@@ -38,7 +38,7 @@ from typing import Iterator, Sequence, TextIO
 import numpy as np
 
 from kappasim.agreement import _kappa
-from kappasim.corpus import AnnotationMatrix, read_columns, write_table
+from kappasim.corpus import AnnotationMatrix, open_text_dest, read_columns, write_table
 from kappasim.errors import DataError
 
 RUNS_HEADER = ("run_id", "n", "kappa")
@@ -439,13 +439,12 @@ def summarize(runs: RunSet) -> SubsetStats:
 
 
 def write_runs(runs: RunSet, dest: str | Path | TextIO | None) -> None:
-    """Write the long-format runs file: ``run_id,n,kappa``, (k-1)*m rows."""
-    ns, table = runs.ns, enumerate(runs.kappas, 1)
-    write_table(
-        dest,
-        RUNS_HEADER,
-        ((r, n, f"{kappa:.6f}") for r, row in table for n, kappa in zip(ns, row.tolist())),
-    )
+    """Write the long-format runs file: ``run_id,n,kappa``, (k-1)*m rows,
+    one format string per run, streamed: memory does not grow with m."""
+    rows = "".join(f"{{0}},{n},{{{i}:.6f}}\n" for i, n in enumerate(runs.ns, 1))
+    with open_text_dest(dest) as fh:
+        fh.write(",".join(RUNS_HEADER) + "\n")
+        fh.writelines(rows.format(r, *row.tolist()) for r, row in enumerate(runs.kappas, 1))
 
 
 def read_runs(path: str | Path) -> tuple[tuple[int, ...], np.ndarray]:

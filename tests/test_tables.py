@@ -3,11 +3,14 @@
 Every table reader goes through one helper, so every reader must apply
 the same rules: exact header, blank lines skipped, exactly one field per
 header column, at least one row, finite numbers (``nan`` only in the cv
-columns), and ``path:line`` in every row error.
+columns), and ``path:line`` in every row error. Numeric tables take a
+NumPy pass first; it must accept exactly what the csv reader accepts.
 """
 
 import math
 import re
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -36,8 +39,10 @@ from kappasim import (
     write_variation,
 )
 from kappasim.cli import main
-from kappasim.corpus import MATRIX_HEADER, read_columns, write_table
-from kappasim.mc import RUNS_HEADER
+from kappasim.corpus import MATRIX_HEADER, _read_csv, read_columns, write_table
+from kappasim.dispersion import VARIATION_HEADER
+from kappasim.mc import RUNS_HEADER, STATS_HEADER
+from kappasim.minfit import MINIMA_HEADER
 
 from conftest import label
 
@@ -193,6 +198,117 @@ def test_int_columns_hold_every_int64(tmp_path):
     assert ns.tolist() == [-(2**63), 2**63 - 1]
 
 
+# Numeric schemas of kappasim's tables: header and column kinds.
+NUMERIC_SCHEMAS = [
+    (RUNS_HEADER, ("int", "int", "float")),
+    (STATS_HEADER, ("int",) + ("float",) * 7),
+    (VARIATION_HEADER, ("int", "float", "float", "float_or_nan", "float_or_nan")),
+    (MINIMA_HEADER, ("int", "float")),
+]
+
+# Cells that the csv reader (Python's int and float) and NumPy's loadtxt
+# may read differently: quotes, underscores, non-ASCII digits, letters and
+# spaces, a float in an int column, the int64 edges, non-finite values,
+# NULs and the separators \x1c-\x1f (spaces to NumPy, not to Python).
+HAZARD_CELLS = [
+    "1_0", "١", "１", "\U0001d7d9", "\u01fe1", "1.0", "1e3", str(2**63 - 1), str(2**63),
+    str(-(2**63)), str(-(2**63) - 1), "nan", "-nan", "NaN", "inf", "-Infinity", "1e400",
+    "-1e400", "0x10", '"1"', '"0.5"', '"1,2"', '"', "", " ", "\t", " 7 ", "+3", "-0", "-0.0",
+    ".5", "5.", "\xa01", "1\x1c", "\x1d1", "1\x1f", "\u30001", "\u200b1", "0.5\x00",
+    "1\x0c2", "1\x0b", "1 2", "#1",
+]
+line_ends = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+def cells_of(kind):
+    """Cells that every reader accepts in a column of ``kind``."""
+    if kind == "int":
+        return st.integers(-(2**63), 2**63 - 1).map(str)
+    values = st.floats(allow_nan=kind == "float_or_nan", allow_infinity=False)
+    return values.map(repr) | values.map(lambda v: f"{v:.6f}")
+
+
+@st.composite
+def numeric_tables(draw):
+    """A numeric table file: mostly valid rows under kappasim's own header,
+    with hazards mixed in (one bad cell, a missing or extra field, a blank
+    or whitespace-only line, a spaced, quoted, multi-line or wrong header,
+    lone ``\\r`` and ``\\r\\n`` line ends, a BOM, a byte that is not UTF-8)."""
+    header, kinds = draw(st.sampled_from(NUMERIC_SCHEMAS))
+    first, rest = header[0], ",".join(header[1:])
+    head = draw(st.sampled_from([
+        ",".join(header), ",".join(header), f" {first} , {rest} ", f'"{first}",{rest}',
+        f'"{first}\n\n",{rest}', f"{first},{rest},extra", "",
+    ]))
+    lines = [head]
+    for _ in range(draw(st.integers(0, 6))):
+        row = [draw(cells_of(kind)) for kind in kinds]
+        hazard = draw(st.integers(0, 9))  # 0-5 keep the row valid
+        if hazard in (6, 7):
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(HAZARD_CELLS))
+        elif hazard == 8:
+            row = row[:-1] if draw(st.booleans()) else [*row, row[0]]
+        elif hazard == 9:
+            row = [draw(st.sampled_from(["", "   ", "\t"]))]
+        lines.append(",".join(row))
+    ends = draw(st.lists(line_ends, min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if draw(st.booleans()):
+        text = text[: -len(ends[-1])]  # no line end after the last line
+    data = (("\ufeff" if draw(st.booleans()) else "") + text).encode("utf-8")
+    if draw(st.integers(0, 9)) == 0:  # a byte that is not UTF-8
+        cut = draw(st.integers(0, len(data)))
+        data = data[:cut] + b"\xff" + data[cut:]
+    return data, header, kinds
+
+
+@settings(max_examples=400, deadline=None)
+@given(numeric_tables())
+def test_numpy_pass_matches_the_csv_reader(scratch, case):
+    data, header, kinds = case
+    path = scratch / "numeric.csv"
+    path.write_bytes(data)
+
+    def outcome(reader):
+        try:
+            columns = reader(path, header, "runs", kinds)
+            return [(c.dtype, c.shape, c.tobytes()) for c in columns]
+        except DataError as exc:
+            return str(exc)
+
+    assert outcome(read_columns) == outcome(_read_csv)
+
+
+def test_own_format_takes_the_numpy_pass(tmp_path, monkeypatch):
+    path = write_lines(tmp_path / "runs.csv", ["run_id,n,kappa", "1,2,0.500000", "1,3,-0.250000"])
+    want = read_runs(path)
+    monkeypatch.setattr("kappasim.corpus._read_csv", None)  # any call would fail
+    ns, table = read_runs(path)
+    assert ns == want[0] and np.array_equal(table, want[1])
+
+
+def test_a_warning_sends_the_file_to_the_csv_reader(tmp_path, monkeypatch):
+    # NumPy 1.x's loadtxt parses "1.0" into an int column with only a
+    # DeprecationWarning; the csv reader rejects it, whatever the caller's
+    # warning filter.
+    path = write_lines(tmp_path / "runs.csv", ["run_id,n,kappa", "1.0,2,0.5"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with raises_at(path, 2, "runs"):
+            read_runs(path)
+
+    def lenient_loadtxt(fh, dtype, **kwargs):  # that NumPy 1.x behaviour on any NumPy
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated",
+                      DeprecationWarning)
+        return np.array([(1, 2, 0.5)], dtype=dtype)
+
+    monkeypatch.setattr(np, "loadtxt", lenient_loadtxt)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with raises_at(path, 2, "runs"):
+            read_runs(path)
+
+
 def test_matrix_errors_name_the_physical_line_after_multi_line_ids(tmp_path):
     two_lines = '"a\nb"'
     path = write_lines(
@@ -308,6 +424,23 @@ def test_runs_round_trip(scratch, runs):
     ns, table = read_runs(path)
     assert ns == runs.ns
     assert np.array_equal(table, at_file_precision(runs.kappas))
+
+
+def test_write_runs_memory_does_not_grow_with_m(tmp_path):
+    peaks = []
+    for m in (2_000, 20_000):
+        kappas = np.random.default_rng(m).uniform(-1.0, 1.0, (m, 44))
+        kappas[:, -1] = 0.5
+        team = tuple(f"r{i}" for i in range(45))
+        runs = RunSet(ExperimentConfig(k=45, m=m, seed=0), team, 0.5,
+                      np.tile(np.arange(45), (m, 1)), kappas)
+        tracemalloc.start()
+        try:
+            write_runs(runs, tmp_path / "runs.csv")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 64 * 1024
 
 
 @settings(max_examples=60, deadline=None)
