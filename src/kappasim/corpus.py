@@ -8,6 +8,7 @@ categorical sentiment labels.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import sys
 import typing
@@ -58,18 +59,35 @@ def open_text_source(path: Path, what: str) -> Iterator[TextIO]:
         raise DataError(f"{path}: cannot read {what} file: {exc.strerror}") from None
 
 
+_CHUNK_ROWS = 2048  # rows parsed or formatted at a time, so memory holds one chunk
+
+
 def write_table(
     dest: str | Path | TextIO | None, header: Sequence[str], rows: Iterable[Sequence[object]]
 ) -> None:
     """Write a CSV table to ``dest`` (see :func:`open_text_dest`): the
-    header row, then ``rows``, ``\\n`` line endings, quoting as needed."""
+    header row, then ``rows``, ``\\n`` line endings, quoting as needed,
+    a chunk of rows at a time. A row the csv module cannot write (one
+    holding a NUL before Python 3.11) raises :class:`DataError` naming
+    the line it would start on."""
+    rows = iter(rows)
     with open_text_dest(dest) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        line, chunk = 1, [header]  # line: where the chunk starts
+        while chunk:
+            try:
+                writer.writerows(chunk)
+            except csv.Error as exc:  # the rows before the bad one are in buf
+                line += buf.getvalue().count("\n")
+                raise DataError(f"{getattr(fh, 'name', '<stream>')}:{line}: {exc}") from None
+            text = buf.getvalue()
+            fh.write(text)
+            line += text.count("\n")
+            buf.seek(0)
+            buf.truncate()
+            chunk = list(itertools.islice(rows, _CHUNK_ROWS))
 
-
-_CHUNK_ROWS = 2048  # rows parsed at a time, so memory holds one chunk of strings
 
 # Per column kind: how read_columns parses a cell, the dtype the values
 # must fit, and their check ("nan" marks an undefined value only where a
@@ -110,14 +128,29 @@ def read_columns(
     - at least one data row.
 
     A broken rule raises :class:`DataError` naming the file; for a bad
-    row, the error names the first malformed line. A numeric table in
-    kappasim's own format parses in one NumPy pass; any other goes through
-    the csv reader by the same rules: the set of accepted files is the same.
+    row, the error names the first malformed line, and so does a cell
+    longer than ``csv.field_size_limit()``. A numeric table in kappasim's
+    own format parses in one NumPy pass, and an all-dict table (the matrix)
+    without quotes, ``\\r`` or NULs by splitting lines at ``\\n`` and
+    commas; any other goes through the csv reader by the same rules: the
+    set of accepted files is the same.
     """
     path = Path(path)
     if all(isinstance(kind, str) for kind in kinds):
         return _read_numeric(path, header, what, kinds) or _read_csv(path, header, what, kinds)
+    if all(isinstance(kind, dict) for kind in kinds):
+        return _read_split(path, header, what, kinds) or _read_csv(path, header, what, kinds)
     return _read_csv(path, header, what, kinds)
+
+
+def _own_header(fh: TextIO, header: Sequence[str]) -> bool:
+    """Whether the first line of ``fh``, split at commas and stripped, is
+    ``header``, and no longer than the csv field limit (a longer one is the
+    csv reader's error to name)."""
+    line = fh.readline()
+    return len(line) <= csv.field_size_limit() and tuple(
+        h.strip() for h in line.split(",")
+    ) == tuple(header)
 
 
 def _read_numeric(
@@ -131,7 +164,7 @@ def _read_numeric(
     dtype = [(str(j), _COLUMN_KINDS[kind][1]) for j, kind in enumerate(kinds)]
     with open_text_source(path, what) as fh:
         try:  # on any fault the csv reader decides, and names it
-            if tuple(h.strip() for h in fh.readline().split(",")) != tuple(header):
+            if not _own_header(fh, header):
                 return None
             start, body = fh.tell(), fh.read()
             if not body.isascii() or any(c in body for c in "\x1c\x1d\x1e\x1f"):
@@ -149,13 +182,86 @@ def _read_numeric(
     return columns if ok else None
 
 
+_BLOCK_CHARS = 16 * 1024  # text split at a time: one block's strings are alive at once
+
+
+def _read_split(
+    path: Path, header: Sequence[str], what: str, kinds: Sequence[dict[str, int]]
+) -> list[np.ndarray] | None:
+    """:func:`read_columns` for string columns by ``str.split``, a block of
+    text at a time, or None to leave the file to :func:`_read_csv`: on a
+    first line other than the header, a ``"``, ``\\r`` or NUL (the csv
+    reader quotes, ends lines or, before Python 3.11, fails there), a line
+    longer than the csv field limit, a line with a wrong field count, no
+    data rows, or any exception. Lines end at ``\\n`` only, as for the csv
+    reader (``str.splitlines`` also ends them at ``\\x0b``, ``\\x85``, ...).
+    On None the dicts hold again only what they held before."""
+    sizes = [len(kind) for kind in kinds]
+    try:  # on any fault the csv reader decides, and names it
+        columns = _split_columns(path, header, what, kinds)
+    except Exception:
+        columns = None
+    if columns is None:
+        for kind, size in zip(kinds, sizes):
+            while len(kind) > size:  # the csv reader numbers into the same dicts
+                kind.popitem()
+    return columns
+
+
+def _split_columns(
+    path: Path, header: Sequence[str], what: str, kinds: Sequence[dict[str, int]]
+) -> list[np.ndarray] | None:
+    commas, limit = len(header) - 1, csv.field_size_limit()
+    chunks: list[list[np.ndarray]] = [[] for _ in kinds]
+    with open_text_source(path, what) as fh:
+        if not _own_header(fh, header):
+            return None
+        tail = ""  # a line cut at the end of the last block
+        while True:
+            block = fh.read(_BLOCK_CHARS)
+            text = tail + block
+            if any(c in text for c in '"\r\0'):
+                return None
+            lines = text.split("\n")
+            tail = lines.pop() if block else ""
+            if len(tail) > limit:
+                return None
+            if rows := list(filter(None, lines)):  # a blank line is no row
+                if len(text) > limit and max(map(len, rows)) > limit:
+                    return None
+                if set(map(str.count, rows, itertools.repeat(","))) != {commas}:
+                    return None
+                cells = ",".join(rows).split(",")
+                for j, (kind, column) in enumerate(zip(kinds, chunks)):
+                    strings = cells[j :: len(kinds)]
+                    new = itertools.filterfalse(kind.__contains__, dict.fromkeys(strings))
+                    kind.update(zip(new, itertools.count(len(kind))))  # by first appearance
+                    column.append(np.fromiter(map(kind.__getitem__, strings), np.int32, len(strings)))
+            if not block:
+                break
+    if not chunks[0]:
+        return None
+    return [np.concatenate(column, dtype=np.int64) for column in chunks]
+
+
+@contextmanager
+def _csv_reader(fh: TextIO, path: str | Path, delimiter: str = ",") -> Iterator[typing.Any]:
+    """Yield a csv reader of ``fh``; an error it raises (a field longer than
+    ``csv.field_size_limit()``; a NUL before Python 3.11) becomes a
+    :class:`DataError` naming ``path`` and the line it is on."""
+    reader = csv.reader(fh, delimiter=delimiter)
+    try:
+        yield reader
+    except csv.Error as exc:
+        raise DataError(f"{path}:{reader.line_num}: {exc}") from None
+
+
 def _read_csv(
     path: Path, header: Sequence[str], what: str, kinds: Sequence[str | dict[str, int]]
 ) -> list[np.ndarray]:
     """:func:`read_columns` by Python's csv reader, a chunk of rows at a time."""
     chunks: list[list[np.ndarray]] = [[] for _ in kinds]
-    with open_text_source(path, what) as fh:
-        reader = csv.reader(fh)
+    with open_text_source(path, what) as fh, _csv_reader(fh, path) as reader:
         if tuple(h.strip() for h in next(reader, ())) != tuple(header):
             raise DataError(f"{path}: expected header '{','.join(header)}'")
         while rows := list(itertools.islice(reader, _CHUNK_ROWS)):
@@ -194,8 +300,9 @@ def _row_error(
     data row (blank rows skipped) where ``is_bad(row)`` holds. A quoted
     field may span lines, so the file is rescanned to count them; that
     happens only here, on the error path."""
-    with open(path, encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
+    with open(path, encoding="utf-8-sig", newline="") as fh, _csv_reader(
+        fh, path, delimiter
+    ) as reader:
         next(reader, None)  # the header
         line = reader.line_num + 1  # where the next row starts
         for row in reader:
@@ -401,8 +508,9 @@ def load_raw(path: str | Path, mapping: ColumnMapping) -> RawSurveyTable:
     synthesized from the row number.
     """
     path = Path(path)
-    with open_text_source(path, "survey") as fh:
-        reader = csv.reader(fh, delimiter=mapping.delimiter)
+    with open_text_source(path, "survey") as fh, _csv_reader(
+        fh, path, mapping.delimiter
+    ) as reader:
         try:
             header = next(reader)
         except StopIteration:
@@ -546,11 +654,25 @@ def generate_synthetic(
 
 def write_matrix(matrix: AnnotationMatrix, dest: str | Path | TextIO | None) -> None:
     """Write the long-format matrix file: header ``rater,item,label``, one
-    row per (rater, item), rater-major order."""
+    row per (rater, item), rater-major order, one rater at a time.
+
+    When no rater, item or category holds a character the csv writer
+    quotes or refuses (``,``, ``"``, ``\\r``, ``\\n``, NUL), each rater's rows
+    are one join of prebuilt ``item,label`` strings; otherwise they go
+    through :func:`write_table`. The bytes are the same either way."""
     cats, items = matrix.categories, matrix.items
-    grid = zip(matrix.raters, matrix.codes.tolist())
-    rows = ((r, i, cats[c]) for r, codes in grid for i, c in zip(items, codes))
-    write_table(dest, MATRIX_HEADER, rows)
+    grid = zip(matrix.raters, matrix.codes)
+    names = itertools.chain(matrix.raters, items, cats)
+    if any(c in name for name in names for c in ',"\r\n\0'):
+        rows = ((r, i, cats[c]) for r, codes in grid for i, c in zip(items, codes.tolist()))
+        write_table(dest, MATRIX_HEADER, rows)
+        return
+    tails = np.array([f"{i},{c}" for i in items for c in cats], dtype=object)
+    starts = np.arange(len(items)) * len(cats)  # each item's first tail
+    with open_text_dest(dest) as fh:
+        fh.write(",".join(MATRIX_HEADER) + "\n")
+        for r, codes in grid:
+            fh.write(f"{r}," + f"\n{r},".join(tails[starts + codes].tolist()) + "\n")
 
 
 def read_matrix(path: str | Path) -> AnnotationMatrix:

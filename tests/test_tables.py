@@ -11,6 +11,7 @@ import math
 import re
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 from kappasim import (
     SENTIMENT_CATEGORIES,
     AnnotationMatrix,
+    ColumnMapping,
     DataError,
     ExperimentConfig,
     MinPoints,
@@ -27,6 +29,7 @@ from kappasim import (
     SubsetStats,
     VariationTable,
     generate_synthetic,
+    load_raw,
     read_matrix,
     read_minima,
     read_runs,
@@ -39,7 +42,14 @@ from kappasim import (
     write_variation,
 )
 from kappasim.cli import main
-from kappasim.corpus import MATRIX_HEADER, _read_csv, read_columns, write_table
+from kappasim.corpus import (
+    MATRIX_HEADER,
+    _read_csv,
+    _read_split,
+    _row_error,
+    read_columns,
+    write_table,
+)
 from kappasim.dispersion import VARIATION_HEADER
 from kappasim.mc import RUNS_HEADER, STATS_HEADER
 from kappasim.minfit import MINIMA_HEADER
@@ -399,6 +409,193 @@ def test_matrix_round_trip(scratch, matrix, random):
     assert set(shuffled.items) == set(matrix.items)
     for rater, item, token in records:
         assert label(shuffled, rater, item) == token
+
+
+# Ids that the csv module and a split at "\n" and "," may read or write
+# differently: quotes, commas, line ends (and the characters that
+# str.splitlines also breaks at, which csv does not), NUL, padding, the
+# empty id and one longer than csv's field limit.
+HAZARD_IDS = [
+    ",", '"', 'a"b', "\r", "\r\n", "a\nb", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+    "\u2028", "\u2029", "\x00", "a\x00", " a", "a ", " ", "", "x" * 140_000,
+]
+plain_ids = st.sampled_from(["a", "b", "p1", "s1", "s2", "\u00e9", "\ufeffa"])
+matrix_ids = plain_ids | st.sampled_from(HAZARD_IDS)
+matrix_labels = st.sampled_from([*SENTIMENT_CATEGORIES, "Positive", "NEUTRAL", "other"])
+# csv ends a line only at \r and \n; str.splitlines also at these
+splitlines_only = st.sampled_from(
+    ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+)
+
+
+@st.composite
+def matrix_files(draw):
+    """A matrix file: rows of plain ids under kappasim's own header, some
+    past the first block, with hazards mixed in (a hazardous id or label,
+    a missing or extra field, a blank or whitespace-only line, a duplicate
+    cell, a spaced, quoted, padded or wrong header, ``\\r\\n`` and lone
+    ``\\r`` line ends, two rows joined by a character that ends a line
+    only for ``str.splitlines``, a BOM, a byte that is not UTF-8)."""
+    head = draw(st.sampled_from([
+        "rater,item,label", "rater,item,label", " rater , item , label ", '"rater",item,label',
+        "rater,item,label" + " " * 140_000, "rater,item", "rater,item,label,extra", "",
+    ]))
+    lines = [head]
+    filler = draw(st.sampled_from([0, 0, 0, 2000]))  # 2000 rows span two 16 KB blocks
+    lines += [f"f{i % 700},s{i // 700},positive" for i in range(filler)]
+    for _ in range(draw(st.integers(0, 6))):
+        row = [draw(plain_ids), draw(plain_ids), draw(st.sampled_from(SENTIMENT_CATEGORIES))]
+        hazard = draw(st.integers(0, 10))  # 0-5 keep the row plain
+        if hazard == 6:
+            row[draw(st.integers(0, 1))] = draw(matrix_ids)
+        elif hazard == 7:
+            row[2] = draw(matrix_labels)
+        elif hazard == 8:
+            row = row[:-1] if draw(st.booleans()) else [*row, row[0]]
+        elif hazard == 9:
+            row = [draw(st.sampled_from(["", "   ", "\t"]))]
+        elif hazard == 10:  # one line for csv, two for str.splitlines
+            row[2] += draw(splitlines_only) + f"{row[0]},{row[1]}2,{row[2]}"
+        lines.append(",".join(row))
+    ends = draw(st.lists(line_ends, min_size=len(lines), max_size=len(lines)))
+    if draw(st.integers(0, 2)):
+        ends = ["\n"] * len(lines)  # the common case: kappasim's own line ends
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if draw(st.booleans()):
+        text = text[: -len(ends[-1])]  # no line end after the last line
+    data = (("\ufeff" if draw(st.booleans()) else "") + text).encode("utf-8")
+    if draw(st.integers(0, 9)) == 0:  # a byte that is not UTF-8
+        cut = draw(st.integers(0, len(data)))
+        data = data[:cut] + b"\xff" + data[cut:]
+    return data
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrix_files())
+def test_split_pass_matches_the_csv_reader(scratch, data):
+    path = scratch / "matrix.csv"
+    path.write_bytes(data)
+
+    def columns(reader):
+        kinds = ({}, {}, {})
+        try:
+            columns = reader(path, MATRIX_HEADER, "matrix", kinds)
+        except DataError as exc:
+            return str(exc)
+        return [(c.dtype, c.shape, c.tobytes()) for c in columns], [list(k) for k in kinds]
+
+    def matrix():
+        try:
+            m = read_matrix(path)
+        except DataError as exc:
+            return str(exc)
+        return m.raters, m.items, m.categories, m.codes.tobytes()
+
+    assert columns(read_columns) == columns(_read_csv)
+    split = matrix()
+    with mock.patch("kappasim.corpus._read_split", return_value=None):
+        assert split == matrix()
+
+
+def test_own_matrix_takes_the_split_pass(tmp_path, monkeypatch):
+    matrix = generate_synthetic(40, 500, noise=0.5, seed=2)  # 20,000 rows: many blocks
+    path = tmp_path / "matrix.csv"
+    write_matrix(matrix, path)
+    monkeypatch.setattr("kappasim.corpus._read_csv", None)  # any call would fail
+    assert read_matrix(path) == matrix
+
+
+def test_a_fault_in_a_later_block_leaves_the_dicts_to_the_csv_reader(tmp_path):
+    lines = [f"r{i % 50},s{i // 50},positive" for i in range(3000)]
+    path = write_lines(tmp_path / "matrix.csv", ["rater,item,label", *lines, '"z",s0,neutral'])
+    kinds = ({}, {}, {})
+    assert _read_split(path, MATRIX_HEADER, "matrix", kinds) is None
+    assert kinds == ({}, {}, {})
+    got = read_columns(path, MATRIX_HEADER, "matrix", kinds)
+    want_kinds = ({}, {}, {})
+    want = _read_csv(path, MATRIX_HEADER, "matrix", want_kinds)
+    assert [list(k) for k in kinds] == [list(k) for k in want_kinds]
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(matrix_ids, min_size=2, max_size=4, unique=True),
+    st.lists(matrix_ids, min_size=1, max_size=4, unique=True),
+    st.lists(matrix_ids | matrix_labels, min_size=2, max_size=3, unique=True),
+    st.randoms(use_true_random=False),
+)
+def test_joined_writer_matches_the_csv_writer(scratch, raters, items, cats, random):
+    codes = np.array([[random.randrange(len(cats)) for _ in items] for _ in raters])
+    matrix = AnnotationMatrix(tuple(raters), tuple(items), tuple(cats), codes)
+    path = scratch / "written.csv"
+
+    def written(write):
+        try:
+            write()
+        except DataError as exc:  # a NUL before Python 3.11
+            return str(exc)
+        return path.read_bytes()
+
+    rows = [(r, i, label(matrix, r, i)) for r in matrix.raters for i in matrix.items]
+    assert written(lambda: write_matrix(matrix, path)) == written(
+        lambda: write_table(path, MATRIX_HEADER, rows)
+    )
+
+
+def test_write_matrix_memory_does_not_grow_with_raters(tmp_path):
+    peaks = []
+    for raters in (1_000, 10_000):
+        matrix = generate_synthetic(raters, 30, noise=0.5, seed=raters)
+        tracemalloc.start()
+        try:
+            write_matrix(matrix, tmp_path / "matrix.csv")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 64 * 1024
+
+
+def test_read_matrix_memory_is_bounded_by_its_columns(tmp_path):
+    # The three int64 columns take 24 bytes a cell. Splitting the whole
+    # file at once would hold a str object per line and per cell, over
+    # 200 bytes a cell; the split pass holds one 16 KB block of them.
+    matrix = generate_synthetic(1_000, 100, noise=0.5, seed=3)
+    path = tmp_path / "matrix.csv"
+    write_matrix(matrix, path)
+    tracemalloc.start()
+    try:
+        read_matrix(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 24 * matrix.codes.size
+
+
+def test_a_cell_over_the_field_limit_is_a_data_error(tmp_path, capsys):
+    long_id = "x" * 140_000
+    path = write_lines(tmp_path / "matrix.csv", ["rater,item,label", "a,s1,positive",
+                                                 f"{long_id},s1,neutral"])
+    assert main(["kappa", "--input", str(path)]) == 2
+    err = f"kappasim: error: {path}:3: field larger than field limit (131072)\n"
+    assert capsys.readouterr().err == err
+    # the error-path rescan and the survey reader name the line the same way
+    with pytest.raises(DataError, match=re.escape(f"{path}:3: field larger than field limit")):
+        raise _row_error(path, lambda row: False, "never")
+    raw = write_lines(tmp_path / "raw.csv", ["id,cs,pe,s1", "r1,Yes,Yes,Positive", "",
+                                             f"r2,Yes,Yes,{long_id}"])
+    mapping = ColumnMapping("cs", "pe", ("s1",), respondent_id_col="id")
+    with pytest.raises(DataError, match=re.escape(f"{raw}:4: field larger than field limit")):
+        load_raw(raw, mapping)
+
+
+def test_a_row_the_csv_writer_refuses_names_its_line(tmp_path):
+    # csv.writer refuses a row that is not a sequence; before Python 3.11
+    # also a cell holding a NUL. Quoted newlines and chunks count in lines.
+    path = tmp_path / "table.csv"
+    rows = [("a\nb", "x"), *[("c", "d")] * 3000, 5]
+    with pytest.raises(DataError, match=re.escape(f"{path}:3004: iterable expected")):
+        write_table(path, ("h1", "h2"), rows)
 
 
 finite = st.floats(-1.0, 1.0, allow_nan=False)
