@@ -99,15 +99,33 @@ _COLUMN_KINDS = {
 }
 
 
-def _cell_ok(kind: str | dict[str, int], cell: str) -> bool:
+def _column(kind: str | dict[str, int], cells: Sequence[str]) -> np.ndarray:
+    """One chunk of a column: a dict numbers the strings by first appearance
+    and the chunk holds those numbers; a numeric kind parses and checks each
+    cell. A bad cell raises ValueError or OverflowError."""
     if isinstance(kind, dict):
-        return True
+        new = itertools.filterfalse(kind.__contains__, dict.fromkeys(cells))
+        kind.update(zip(new, itertools.count(len(kind))))  # by first appearance
+        return np.fromiter(map(kind.__getitem__, cells), np.int32, len(cells))
     parse, dtype, check = _COLUMN_KINDS[kind]
+    values = np.array(list(map(parse, cells)), dtype=dtype)
+    if check is not None and not check(values).all():
+        raise ValueError
+    return values
+
+
+def _cell_ok(kind: str | dict[str, int], cell: str) -> bool:
     try:
-        value = dtype(parse(cell))
+        _column(kind, [cell])  # a dict takes any string; its numbers are moot on this error path
     except (ValueError, OverflowError):
         return False
-    return check is None or bool(check(value))
+    return True
+
+
+def _joined(chunks: list[list[np.ndarray]]) -> list[np.ndarray]:
+    """Each column from its chunks; a dict's numbers, int32 while chunks
+    are alive (half the memory), become int64."""
+    return [np.concatenate(c, dtype=np.promote_types(c[0].dtype, np.int64)) for c in chunks]
 
 
 def read_columns(
@@ -123,59 +141,51 @@ def read_columns(
     - every other row has exactly one field per header column;
     - each cell parses as its column's kind: ``"int"`` (within int64),
       ``"float"`` (finite) or ``"float_or_nan"`` (by Python's int and
-      float), or, for a dict, any string: the dict numbers the column's
-      strings by first appearance and the column holds those numbers;
+      float), or, for a dict, any string: the dict, empty at the call,
+      numbers the column's strings by first appearance and the column
+      holds those numbers;
     - at least one data row.
 
     A broken rule raises :class:`DataError` naming the file; for a bad
     row, the error names the first malformed line, and so does a cell
-    longer than ``csv.field_size_limit()``. A numeric table in kappasim's
-    own format parses in one NumPy pass, and an all-dict table (the matrix)
-    without quotes, ``\\r`` or NULs by splitting lines at ``\\n`` and
-    commas; any other goes through the csv reader by the same rules: the
-    set of accepted files is the same.
+    longer than ``csv.field_size_limit()``. A table whose kinds are all
+    numeric (runs, stats, minima, variation) takes one NumPy pass, and any
+    other (the matrix) a pass that splits the text at ``\\n`` and commas.
+    A file either pass refuses goes through the csv reader, by the same
+    rules: the set of accepted files is the same.
     """
     path = Path(path)
-    if all(isinstance(kind, str) for kind in kinds):
-        return _read_numeric(path, header, what, kinds) or _read_csv(path, header, what, kinds)
-    if all(isinstance(kind, dict) for kind in kinds):
-        return _read_split(path, header, what, kinds) or _read_csv(path, header, what, kinds)
+    fast = _read_numeric if all(isinstance(kind, str) for kind in kinds) else _read_split
+    with open_text_source(path, what) as fh:
+        try:  # on any fault the csv reader decides, and names it
+            line = fh.readline()  # one longer than the field limit is the csv reader's error
+            own = tuple(h.strip() for h in line.split(",")) == tuple(header)
+            columns = fast(fh, kinds) if own and len(line) <= csv.field_size_limit() else None
+        except Exception:
+            columns = None
+    if columns is not None:
+        return columns
+    for kind in kinds:
+        if isinstance(kind, dict):
+            kind.clear()  # the csv reader numbers into the same dicts
     return _read_csv(path, header, what, kinds)
 
 
-def _own_header(fh: TextIO, header: Sequence[str]) -> bool:
-    """Whether the first line of ``fh``, split at commas and stripped, is
-    ``header``, and no longer than the csv field limit (a longer one is the
-    csv reader's error to name)."""
-    line = fh.readline()
-    return len(line) <= csv.field_size_limit() and tuple(
-        h.strip() for h in line.split(",")
-    ) == tuple(header)
-
-
-def _read_numeric(
-    path: Path, header: Sequence[str], what: str, kinds: Sequence[str]
-) -> list[np.ndarray] | None:
-    """:func:`read_columns` in one ``np.loadtxt`` pass, or None to leave the
-    file to :func:`_read_csv`: on a first line other than the header, a body
-    that is not ASCII or holds ``\\x1c``-``\\x1f`` (NumPy reads those otherwise
-    than Python), any exception or warning (NumPy 1.x reads ``1.0`` into an
-    int column with only a warning), or a failed check."""
+def _read_numeric(fh: TextIO, kinds: Sequence[str]) -> list[np.ndarray] | None:
+    """:func:`read_columns`' NumPy pass over ``fh`` after its header line:
+    one ``np.loadtxt`` call, or None on a body that is not ASCII or holds
+    ``\\x1c``-``\\x1f`` (NumPy reads those otherwise than Python), on a
+    failed check or no rows. A warning is an error (NumPy 1.x reads ``1.0``
+    into an int column with only a warning)."""
+    start, body = fh.tell(), fh.read()
+    if not body.isascii() or any(c in body for c in "\x1c\x1d\x1e\x1f"):
+        return None
+    del body  # not kept alive next to the table
+    fh.seek(start)
     dtype = [(str(j), _COLUMN_KINDS[kind][1]) for j, kind in enumerate(kinds)]
-    with open_text_source(path, what) as fh:
-        try:  # on any fault the csv reader decides, and names it
-            if not _own_header(fh, header):
-                return None
-            start, body = fh.tell(), fh.read()
-            if not body.isascii() or any(c in body for c in "\x1c\x1d\x1e\x1f"):
-                return None
-            del body  # not kept alive next to the table
-            fh.seek(start)
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                table = np.loadtxt(fh, dtype, delimiter=",", comments=None, quotechar=None, ndmin=1)
-        except Exception:
-            return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = np.loadtxt(fh, dtype, delimiter=",", comments=None, quotechar=None, ndmin=1)
     columns = [table[name] for name in table.dtype.names]
     checks = (_COLUMN_KINDS[kind][2] for kind in kinds)
     ok = len(table) and all(check is None or check(c).all() for check, c in zip(checks, columns))
@@ -185,63 +195,36 @@ def _read_numeric(
 _BLOCK_CHARS = 16 * 1024  # text split at a time: one block's strings are alive at once
 
 
-def _read_split(
-    path: Path, header: Sequence[str], what: str, kinds: Sequence[dict[str, int]]
-) -> list[np.ndarray] | None:
-    """:func:`read_columns` for string columns by ``str.split``, a block of
-    text at a time, or None to leave the file to :func:`_read_csv`: on a
-    first line other than the header, a ``"``, ``\\r`` or NUL (the csv
+def _read_split(fh: TextIO, kinds: Sequence[str | dict[str, int]]) -> list[np.ndarray] | None:
+    """:func:`read_columns`' split pass over ``fh`` after its header line, a
+    block of text at a time, or None on a ``"``, ``\\r`` or NUL (the csv
     reader quotes, ends lines or, before Python 3.11, fails there), a line
-    longer than the csv field limit, a line with a wrong field count, no
-    data rows, or any exception. Lines end at ``\\n`` only, as for the csv
-    reader (``str.splitlines`` also ends them at ``\\x0b``, ``\\x85``, ...).
-    On None the dicts hold again only what they held before."""
-    sizes = [len(kind) for kind in kinds]
-    try:  # on any fault the csv reader decides, and names it
-        columns = _split_columns(path, header, what, kinds)
-    except Exception:
-        columns = None
-    if columns is None:
-        for kind, size in zip(kinds, sizes):
-            while len(kind) > size:  # the csv reader numbers into the same dicts
-                kind.popitem()
-    return columns
-
-
-def _split_columns(
-    path: Path, header: Sequence[str], what: str, kinds: Sequence[dict[str, int]]
-) -> list[np.ndarray] | None:
-    commas, limit = len(header) - 1, csv.field_size_limit()
+    longer than the csv field limit, a line with a wrong field count or no
+    data rows. Lines end at ``\\n`` only, as for the csv reader
+    (``str.splitlines`` also ends them at ``\\x0b``, ``\\x85``, ...)."""
+    commas, limit = len(kinds) - 1, csv.field_size_limit()
     chunks: list[list[np.ndarray]] = [[] for _ in kinds]
-    with open_text_source(path, what) as fh:
-        if not _own_header(fh, header):
+    tail = ""  # a line cut at the end of the last block
+    while True:
+        block = fh.read(_BLOCK_CHARS)
+        text = tail + block
+        if any(c in text for c in '"\r\0'):
             return None
-        tail = ""  # a line cut at the end of the last block
-        while True:
-            block = fh.read(_BLOCK_CHARS)
-            text = tail + block
-            if any(c in text for c in '"\r\0'):
+        lines = text.split("\n")
+        tail = lines.pop() if block else ""
+        if len(tail) > limit:
+            return None
+        if rows := list(filter(None, lines)):  # a blank line is no row
+            if len(text) > limit and max(map(len, rows)) > limit:
                 return None
-            lines = text.split("\n")
-            tail = lines.pop() if block else ""
-            if len(tail) > limit:
+            if set(map(str.count, rows, itertools.repeat(","))) != {commas}:
                 return None
-            if rows := list(filter(None, lines)):  # a blank line is no row
-                if len(text) > limit and max(map(len, rows)) > limit:
-                    return None
-                if set(map(str.count, rows, itertools.repeat(","))) != {commas}:
-                    return None
-                cells = ",".join(rows).split(",")
-                for j, (kind, column) in enumerate(zip(kinds, chunks)):
-                    strings = cells[j :: len(kinds)]
-                    new = itertools.filterfalse(kind.__contains__, dict.fromkeys(strings))
-                    kind.update(zip(new, itertools.count(len(kind))))  # by first appearance
-                    column.append(np.fromiter(map(kind.__getitem__, strings), np.int32, len(strings)))
-            if not block:
-                break
-    if not chunks[0]:
-        return None
-    return [np.concatenate(column, dtype=np.int64) for column in chunks]
+            cells = ",".join(rows).split(",")
+            for j, (kind, column) in enumerate(zip(kinds, chunks)):
+                column.append(_column(kind, cells[j :: len(kinds)]))
+        if not block:
+            break
+    return _joined(chunks) if chunks[0] else None
 
 
 @contextmanager
@@ -273,15 +256,7 @@ def _read_csv(
                 if set(map(len, rows)) - {len(header)}:
                     raise ValueError
                 for j, (kind, column) in enumerate(zip(kinds, chunks)):
-                    cells = map(itemgetter(j), rows)
-                    if isinstance(kind, dict):
-                        values = np.array([kind.setdefault(c, len(kind)) for c in cells])
-                    else:
-                        parse, dtype, check = _COLUMN_KINDS[kind]
-                        values = np.array(list(map(parse, cells)), dtype=dtype)
-                        if check is not None and not check(values).all():
-                            raise ValueError
-                    column.append(values)
+                    column.append(_column(kind, list(map(itemgetter(j), rows))))
             except (ValueError, OverflowError):
                 raise _row_error(
                     path,
@@ -290,7 +265,7 @@ def _read_csv(
                 ) from None
     if not chunks[0]:
         raise DataError(f"{path}: no {what} rows")
-    return [np.concatenate(column) for column in chunks]
+    return _joined(chunks)
 
 
 def _row_error(
@@ -459,6 +434,8 @@ def load_mapping(path: str | Path) -> ColumnMapping:
         key, value = key.strip(), value.strip()
         if key not in types:
             raise DataError(f"{path}:{lineno}: unknown mapping key {key!r}")
+        if key in values:
+            raise DataError(f"{path}:{lineno}: repeated mapping key {key!r}")
         if typing.get_origin(types[key]) is tuple:
             values[key] = tuple(tok.strip() for tok in value.split(",") if tok.strip())
         else:
@@ -519,6 +496,9 @@ def load_raw(path: str | Path, mapping: ColumnMapping) -> RawSurveyTable:
         missing = [c for c in mapping.required_columns() if c not in header]
         if missing:
             raise DataError(f"{path}: missing mapped column(s): {', '.join(missing)}")
+        repeated = [c for c in mapping.required_columns() if header.count(c) > 1]
+        if repeated:  # a row dict would keep only the last of them
+            raise DataError(f"{path}: repeated mapped column(s): {', '.join(repeated)}")
         rows: list[dict[str, str | None]] = []
         for record in reader:
             if len(record) > len(header):

@@ -238,7 +238,8 @@ class TestColumnMapping:
     def test_every_field_is_a_key(self, tmp_path, f):
         line, value = mapping_line(f)
         path = tmp_path / "map.cfg"
-        path.write_text("\n".join([*(mapping_line(r)[0] for r in REQUIRED_FIELDS), line]) + "\n")
+        others = (mapping_line(r)[0] for r in REQUIRED_FIELDS if r is not f)  # each key once
+        path.write_text("\n".join([*others, line]) + "\n")
         assert getattr(load_mapping(path), f.name) == value
 
     @pytest.mark.parametrize("f", REQUIRED_FIELDS, ids=lambda f: f.name)
@@ -280,6 +281,15 @@ class TestColumnMapping:
         path = tmp_path / "map.cfg"
         path.write_text(MAPPING_TEXT + "frobnicate = yes\n")
         with pytest.raises(DataError, match="unknown mapping key"):
+            load_mapping(path)
+
+    def test_repeated_key(self, tmp_path):
+        # a later line would otherwise replace the first: label_cols s2 alone
+        path = tmp_path / "map.cfg"
+        path.write_text(MAPPING_TEXT + "label_cols = s2\n")
+        line = MAPPING_TEXT.count("\n") + 1
+        message = f"{path}:{line}: repeated mapping key 'label_cols'"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             load_mapping(path)
 
     def test_encoding_must_be_injective(self):
@@ -330,6 +340,17 @@ class TestLoadRaw:
         path.write_text("id,cs,s1,s2,s3\nr1,Yes,Positive,Neutral,Negative\n")
         with pytest.raises(DataError, match="missing mapped column"):
             load_raw(path, mapping)
+
+    def test_repeated_mapped_column(self, tmp_path):
+        # a row dict would keep the second s1 ("Negative") and drop the first
+        path = tmp_path / "raw.csv"
+        path.write_text("id,cs,pe,s1, s1 ,s2,note,note\nr1,Yes,Yes,Positive,Negative,Neutral,a,b\n")
+        mapping = ColumnMapping("cs", "pe", ("s1", "s2"), respondent_id_col="id")
+        message = f"{path}: repeated mapped column(s): s1"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            load_raw(path, mapping)
+        path.write_text("id,cs,pe,s1,s2,note,note\nr1,Yes,Yes,Positive,Neutral,a,b\n")
+        assert load_raw(path, mapping).rows[0]["s1"] == "Positive"  # an unmapped one is read
 
     def test_duplicate_id(self, tmp_path, mapping):
         path = tmp_path / "raw.csv"

@@ -7,6 +7,7 @@ columns), and ``path:line`` in every row error. Numeric tables take a
 NumPy pass first; it must accept exactly what the csv reader accepts.
 """
 
+import csv
 import math
 import re
 import tracemalloc
@@ -28,6 +29,7 @@ from kappasim import (
     RunSet,
     SubsetStats,
     VariationTable,
+    extract_minima,
     generate_synthetic,
     load_raw,
     read_matrix,
@@ -35,6 +37,7 @@ from kappasim import (
     read_runs,
     read_stats,
     read_variation,
+    summarize,
     write_matrix,
     write_minima,
     write_runs,
@@ -43,9 +46,9 @@ from kappasim import (
 )
 from kappasim.cli import main
 from kappasim.corpus import (
+    _BLOCK_CHARS,
     MATRIX_HEADER,
     _read_csv,
-    _read_split,
     _row_error,
     read_columns,
     write_table,
@@ -289,12 +292,26 @@ def test_numpy_pass_matches_the_csv_reader(scratch, case):
     assert outcome(read_columns) == outcome(_read_csv)
 
 
-def test_own_format_takes_the_numpy_pass(tmp_path, monkeypatch):
-    path = write_lines(tmp_path / "runs.csv", ["run_id,n,kappa", "1,2,0.500000", "1,3,-0.250000"])
-    want = read_runs(path)
+@pytest.mark.parametrize("what", ["runs", "stats", "minima", "variation"])
+def test_own_format_takes_the_numpy_pass(tmp_path, monkeypatch, what):
+    kappas = np.array([[0.1, -0.25, 0.5], [0.3, 0.2, 0.5]])
+    runs = RunSet(ExperimentConfig(k=4, m=2, seed=0), ("a", "b", "c", "d"), 0.5,
+                  np.tile(np.arange(4), (2, 1)), kappas)
+    mu, sigma = np.array([0.0, 0.4, 0.5]), np.array([0.1, 0.2, 0.0])
+    cv = np.array([math.nan, 0.5, 0.0])  # an undefined cv is written as nan
+    table, write = {
+        "runs": (runs, write_runs),
+        "stats": (summarize(runs), write_stats),
+        "minima": (extract_minima(summarize(runs), 0.5, 4), write_minima),
+        "variation": (VariationTable(4, (2, 3, 4), mu, sigma, cv, (0.5,), 0.5, 0.5),
+                      write_variation),
+    }[what]
+    path = tmp_path / f"{what}.csv"
+    write(table, path)
+    reader = TABLES[what][0]
+    want = reader(path)
     monkeypatch.setattr("kappasim.corpus._read_csv", None)  # any call would fail
-    ns, table = read_runs(path)
-    assert ns == want[0] and np.array_equal(table, want[1])
+    assert repr(reader(path)) == repr(want)  # repr: nan equals nan
 
 
 def test_a_warning_sends_the_file_to_the_csv_reader(tmp_path, monkeypatch):
@@ -491,7 +508,15 @@ def test_split_pass_matches_the_csv_reader(scratch, data):
             return str(exc)
         return m.raters, m.items, m.categories, m.codes.tobytes()
 
-    assert columns(read_columns) == columns(_read_csv)
+    got = columns(read_columns)
+    assert got == columns(_read_csv)
+    if not isinstance(got, str):  # the ids numbered by first appearance, as csv rows give them
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            rows = [row for row in list(csv.reader(fh))[1:] if row]
+        names = [list(dict.fromkeys(column)) for column in zip(*rows)]
+        codes = [np.array([n.index(c) for c in column], dtype=np.int64)
+                 for n, column in zip(names, zip(*rows))]
+        assert got == ([(c.dtype, c.shape, c.tobytes()) for c in codes], names)
     split = matrix()
     with mock.patch("kappasim.corpus._read_split", return_value=None):
         assert split == matrix()
@@ -505,15 +530,23 @@ def test_own_matrix_takes_the_split_pass(tmp_path, monkeypatch):
     assert read_matrix(path) == matrix
 
 
-def test_a_fault_in_a_later_block_leaves_the_dicts_to_the_csv_reader(tmp_path):
+def test_a_fault_in_a_later_block_leaves_the_dicts_to_the_csv_reader(tmp_path, monkeypatch):
+    # the split pass numbers the first block's ids, then meets a quote
     lines = [f"r{i % 50},s{i // 50},positive" for i in range(3000)]
+    assert len("\n".join(lines)) > _BLOCK_CHARS
     path = write_lines(tmp_path / "matrix.csv", ["rater,item,label", *lines, '"z",s0,neutral'])
-    kinds = ({}, {}, {})
-    assert _read_split(path, MATRIX_HEADER, "matrix", kinds) is None
-    assert kinds == ({}, {}, {})
-    got = read_columns(path, MATRIX_HEADER, "matrix", kinds)
     want_kinds = ({}, {}, {})
     want = _read_csv(path, MATRIX_HEADER, "matrix", want_kinds)
+    sizes = []
+
+    def csv_reader(path, header, what, kinds):
+        sizes.append([len(kind) for kind in kinds])
+        return _read_csv(path, header, what, kinds)
+
+    monkeypatch.setattr("kappasim.corpus._read_csv", csv_reader)
+    kinds = ({}, {}, {})
+    got = read_columns(path, MATRIX_HEADER, "matrix", kinds)
+    assert sizes == [[0, 0, 0]]  # the csv reader starts from empty dicts
     assert [list(k) for k in kinds] == [list(k) for k in want_kinds]
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
