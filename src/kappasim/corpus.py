@@ -172,20 +172,24 @@ def read_columns(
 
 
 def _read_numeric(fh: TextIO, kinds: Sequence[str]) -> list[np.ndarray] | None:
-    """:func:`read_columns`' NumPy pass over ``fh`` after its header line:
-    one ``np.loadtxt`` call, or None on a body that is not ASCII or holds
+    """:func:`read_columns`' NumPy pass over the body of the file ``fh`` is
+    open on, after its header line: one ``np.loadtxt`` call on the path, so
+    that NumPy's reader pulls the file in chunks rather than a line at a
+    time from ``fh``. None on a body that is not ASCII or holds
     ``\\x1c``-``\\x1f`` (NumPy reads those otherwise than Python), on a
     failed check or no rows. A warning is an error (NumPy 1.x reads ``1.0``
     into an int column with only a warning)."""
-    start, body = fh.tell(), fh.read()
+    body = fh.read()
     if not body.isascii() or any(c in body for c in "\x1c\x1d\x1e\x1f"):
         return None
     del body  # not kept alive next to the table
-    fh.seek(start)
     dtype = [(str(j), _COLUMN_KINDS[kind][1]) for j, kind in enumerate(kinds)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        table = np.loadtxt(fh, dtype, delimiter=",", comments=None, quotechar=None, ndmin=1)
+        table = np.loadtxt(
+            fh.name, dtype, delimiter=",", comments=None, quotechar=None, ndmin=1,
+            skiprows=1, encoding="utf-8",
+        )
     columns = [table[name] for name in table.dtype.names]
     checks = (_COLUMN_KINDS[kind][2] for kind in kinds)
     ok = len(table) and all(check is None or check(c).all() for check, c in zip(checks, columns))

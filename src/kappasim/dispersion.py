@@ -89,6 +89,20 @@ class IntervalEstimate:
     upper: float
 
 
+class _TeamSeeds:
+    """Team t's seed for t = 1..j, the first word of ``SeedSequence(seed,
+    spawn_key=(t,))``, computed a slice at a time."""
+
+    def __init__(self, seed: int, j: int) -> None:
+        self.seed, self.keys = seed, range(1, j + 1)
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __getitem__(self, part: slice) -> np.ndarray:
+        return _child_states([self.seed], self.keys[part])[0, :, 0]
+
+
 def run_variation(matrix: AnnotationMatrix, config: VariationConfig) -> VariationTable:
     """Sample j teams, run m repetitions each, fold the running moments.
 
@@ -99,17 +113,17 @@ def run_variation(matrix: AnnotationMatrix, config: VariationConfig) -> Variatio
     (matrix, config). These are NumPy's SeedSequence -> PCG64 streams,
     computed with array arithmetic for many teams and orderings at once
     (see :mod:`kappasim.mc`). Teams go through in blocks, each block's
-    progressions from one kernel call: the kernel's temporaries stay
-    bounded, while the team seeds, root words and kappa-hats take about
-    120 bytes a team. A spawn key is one 32-bit word, so j and m stay
-    below 2**32. The fold update at t=1 reduces to mu_1 and sigma_1 exactly.
+    seeds, orderings and progressions computed in turn: memory is a few
+    ``_BLOCK_BYTES`` blocks plus the kappa-hats, about 50 bytes a team. A
+    spawn key is one 32-bit word, so j and m stay below 2**32. The fold
+    update at t=1 reduces to mu_1 and sigma_1 exactly.
     """
     if config.k > len(matrix.raters):
         raise DataError(
             f"team size {config.k} exceeds the matrix's {len(matrix.raters)} raters"
         )
     ns = tuple(range(2, config.k + 1))
-    team_seeds = _child_states([config.seed], range(1, config.j + 1))[0, :, 0]
+    team_seeds = _TeamSeeds(config.seed, config.j)
     mu_bar = np.zeros(len(ns))
     sigma_bar = np.zeros(len(ns))
     team_kappa_hats: list[float] = []

@@ -20,13 +20,16 @@ Determinism contract: the team draw consumes the root stream
 child stream ``default_rng(SeedSequence(seed, spawn_key=(r,)))``, r =
 1..m. Results are therefore bit-identical on every invocation, and the
 first m runs of a longer experiment coincide with the m runs of a shorter
-one. These are NumPy's own SeedSequence -> PCG64 streams, but the
-SeedSequences are not built one object at a time: :func:`_child_states`
-runs SeedSequence's hash (fixed by NEP 19) as uint32 array arithmetic for
-many runs at once, and NumPy's own PCG64 is then seeded from each run's
-computed words (:func:`_streams`). A test pins every word and every
-ordering bitwise to the installed NumPy. A spawn key is one 32-bit word,
-so m (and a variation's team count j) must stay below 2**32.
+one. These are NumPy's own SeedSequence -> PCG64 streams, but no object
+is built per run: :func:`_child_states` runs SeedSequence's hash (fixed by
+NEP 19) as uint32 array arithmetic for many runs at once, and
+:func:`_pcg64_orderings` runs PCG64 and NumPy's shuffle on the computed
+words as array arithmetic over all runs of a block. Only the team draw
+(and, for few orderings, :func:`_numpy_orderings`) seeds NumPy's own
+PCG64 from the words (:func:`_streams`). NumPy is the oracle: a test pins
+every word and every ordering of both routes bitwise to the installed
+NumPy. A spawn key is one 32-bit word, so m (and a variation's team count
+j) must stay below 2**32.
 """
 
 from __future__ import annotations
@@ -152,8 +155,9 @@ def sample_team(matrix: AnnotationMatrix, k: int, rng: np.random.Generator) -> t
 
 
 # Size of the temporaries of the batched prefix kernel: it works through
-# items (Gram matrices) and orderings (prefix sums) in blocks of about
-# 256 KB, and takes teams in blocks of about as many orderings.
+# items (Gram matrices), raters (category totals) and orderings (prefix
+# sums) in blocks of about 256 KB, and takes teams in blocks whose draw
+# tables, progressions, Gram matrices and label grids fit in as much.
 _BLOCK_BYTES = 1 << 18
 
 # Integers below this convert to float64 exactly. A prefix kappa's
@@ -255,6 +259,124 @@ def _streams(states: np.ndarray) -> Iterator[np.random.Generator]:
         yield np.random.Generator(np.random.PCG64(Words(words)))
 
 
+def _numpy_orderings(states: np.ndarray, k: int) -> np.ndarray:
+    """``Generator.permutation(k)`` on the stream of each (4,) row of
+    :func:`_child_states` words, one new generator per row: (rows, k)."""
+    perms = np.empty((len(states), k), dtype=np.min_scalar_type(k - 1))
+    perms[...] = np.arange(k)
+    # shuffling arange(k) in place is what permutation(k) does, and the
+    # swaps the shuffle draws do not depend on the dtype
+    for row, rng in zip(perms, _streams(states)):
+        rng.shuffle(row)
+    return perms
+
+
+def _u64(value: int) -> np.ndarray:
+    # every constant is a uint64 array operand: NumPy 1.x takes uint64 with
+    # a Python int to float64, and warns on uint64 scalar overflow
+    return np.array(value, dtype=np.uint64)
+
+
+# PCG64 as NumPy runs it (O'Neill 2014): a 128-bit LCG, state*M + inc mod
+# 2**128, here in uint64 halves with 32-bit limbs for the carry; its 64-bit
+# XSL-RR output gives two uint32 draws, low half first.
+_PCG_MULT = 0x2360ED051FC65DA4_4385DF649FCCF645
+_M_HI, _M_LO = _u64(_PCG_MULT >> 64), _u64(_PCG_MULT & (2**64 - 1))
+_M_LO_HI, _M_LO_LO = _u64(_PCG_MULT >> 32 & _MASK32), _u64(_PCG_MULT & _MASK32)
+_LOW32, _ONE, _32, _58, _63, _64 = map(_u64, (_MASK32, 1, 32, 58, 63, 64))
+
+# uint32 draws per ordering beyond one per swap, besides half as many again
+# for rejections: few enough lanes run out that drawing again costs little
+_SPARE_DRAWS = 8
+
+
+def _table_draws(k: int) -> int:
+    """uint32 draws per ordering in :func:`_pcg64_orderings`' first table."""
+    return k - 1 + (k - 1) // 2 + _SPARE_DRAWS
+
+
+def _pcg64_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray) -> None:
+    """state = state*M + inc mod 2**128 in place, state = hi*2**64 + lo."""
+    # the high half of lo*M_LO, from 32-bit limbs: lo = a1*2**32 + a0
+    a0, a1 = lo & _LOW32, lo >> _32
+    carry, mid0, mid1 = a0 * _M_LO_LO, a0 * _M_LO_HI, a1 * _M_LO_LO
+    carry >>= _32
+    carry += mid0 & _LOW32
+    carry += mid1 & _LOW32
+    a1 *= _M_LO_HI
+    a1 += carry >> _32
+    a1 += mid0 >> _32
+    a1 += mid1 >> _32
+    hi *= _M_LO
+    hi += a1
+    hi += lo * _M_HI
+    hi += inc_hi
+    lo *= _M_LO
+    lo += inc_lo
+    hi += lo < inc_lo
+
+
+def _pcg64_orderings(states: np.ndarray, k: int) -> np.ndarray:
+    """:func:`_numpy_orderings` as array arithmetic over all rows (lanes)
+    at once, every lane on its own stream, bit for bit.
+
+    Seeding follows ``pcg64_set_seed``: state seed ``w0<<64 | w1``,
+    increment ``(w2<<64 | w3)<<1 | 1``; from state 0, step, add the seed,
+    step. Each lane then draws a table of uint32 up front, and the shuffle
+    runs NumPy's ``random_interval`` swaps for i = k-1 .. 1: j is the next
+    draw masked to ``2**bit_length(i) - 1``, redrawn while above i. Only
+    the rejected lanes loop; a lane about to run out of draws makes every
+    lane draw as many again.
+    """
+    words = np.ascontiguousarray(states, dtype=np.uint64)
+    lanes = len(words)
+    inc_hi = words[:, 2] << _ONE
+    inc_hi |= words[:, 3] >> _63
+    inc_lo = words[:, 3] << _ONE
+    inc_lo |= _ONE
+    lo = inc_lo + words[:, 1]
+    hi = inc_hi + words[:, 0]
+    hi += lo < inc_lo
+    _pcg64_step(hi, lo, inc_hi, inc_lo)
+
+    def draws(n: int) -> np.ndarray:  # 2n uint32 per lane, draw-major
+        table = np.empty((2 * n, lanes), dtype=np.uint32)
+        for t in range(n):
+            _pcg64_step(hi, lo, inc_hi, inc_lo)
+            out, rot = hi ^ lo, hi >> _58
+            turned = out >> rot
+            out <<= (_64 - rot) & _63
+            out |= turned  # XSL-RR: rotate hi ^ lo right by hi >> 58
+            table[2 * t] = out  # truncated: the low half first
+            table[2 * t + 1] = out >> _32
+        return table.ravel()
+
+    n_outputs = -(-_table_draws(k) // 2)
+    table = draws(n_outputs)
+    perms = np.empty((k, lanes), dtype=np.min_scalar_type(k - 1))
+    perms[...] = np.arange(k)[:, None]
+    flat = perms.reshape(-1)
+    lane = np.arange(lanes)
+    cursor = lane.copy()  # lane's next draw: table[cursor]
+    for i in range(k - 1, 0, -1):
+        mask = np.uint32((1 << i.bit_length()) - 1)
+        j = table[cursor] & mask
+        rejected = np.flatnonzero(j > i)
+        while rejected.size:
+            redraw = cursor[rejected] + lanes
+            cursor[rejected] = redraw
+            if redraw.max() + (i - 1) * lanes >= len(table):  # and a draw per swap left
+                table = np.concatenate([table, draws(n_outputs)])
+            j[rejected] = redrawn = table[redraw] & mask
+            rejected = rejected[redrawn > i]
+        cursor += lanes
+        at = j.astype(np.intp) * lanes + lane
+        swapped = perms[i].copy()
+        perms[i] = flat[at]
+        flat[at] = swapped
+    return perms.T
+
+
 def _gram(codes: np.ndarray, n_categories: int) -> np.ndarray:
     """G[t, r, s]: the number of items on which raters r and s of team t
     agree, from a (teams, k, items) label-code grid."""
@@ -283,17 +405,22 @@ def _prefix_kappas(codes: np.ndarray, n_categories: int, perms: np.ndarray) -> n
     cumulative sum of C. Both stay integers until
     :func:`kappasim.agreement._kappa` makes its one division, so the full
     prefix equals the whole-team kappa bitwise, whatever the ordering or
-    the batch. Orderings go through in blocks of about ``_BLOCK_BYTES``;
-    callers keep the number of teams in one call bounded
+    the batch. Raters (for C), items (for G) and orderings go through in
+    blocks of about ``_BLOCK_BYTES``; the Gram matrices and label grids
+    grow with the teams in one call, which callers keep bounded
     (:func:`_experiments`).
     """
     n_teams, k, n_items = codes.shape
     m = perms.shape[1]
     ns = np.arange(2, k + 1)
     rows = codes.reshape(-1, n_items)
-    cells = np.arange(len(rows))[:, None] * n_categories + rows
-    totals = np.bincount(cells.ravel(), minlength=len(rows) * n_categories)
-    totals = totals.reshape(-1, n_categories)
+    totals = np.empty((len(rows), n_categories), dtype=np.int64)
+    step = max(1, _BLOCK_BYTES // (8 * n_items))  # rows of int64 cells at a time
+    for start in range(0, len(rows), step):
+        chunk = rows[start : start + step]
+        cells = np.arange(len(chunk))[:, None] * n_categories + chunk
+        counts = np.bincount(cells.ravel(), minlength=len(chunk) * n_categories)
+        totals[start : start + step] = counts.reshape(-1, n_categories)
     gram = _gram(codes, n_categories).reshape(-1, k)
     if n_items * n_items * k**3 >= _FLOAT_EXACT:
         gram, totals, ns = gram.astype(object), totals.astype(object), ns.astype(object)
@@ -344,23 +471,31 @@ def _experiments(
     progressions (teams, m, k-1).
 
     Per block, every ordering is drawn first and one kernel call then
-    computes all the progressions. A block holds about as many orderings
-    as one block of the kernel (``_BLOCK_BYTES`` of temporaries), and at
-    least one team: the kernel's temporaries stay bounded, the root words do not.
+    computes all the progressions. A block holds as many teams as keep what
+    grows with its teams within ``_BLOCK_BYTES``, and at least one. Per
+    team that is m orderings' draw tables (4 bytes a draw, see
+    :func:`_table_draws`) and progressions (8 bytes a value), a k x k int64
+    Gram matrix and two copies of the k x items label grid; the kernel
+    bounds the rest itself. The team seeds are read a block at a time, so
+    ``seeds`` may compute its slices on demand.
+
+    One rule picks how a block's orderings are drawn: by the array path,
+    :func:`_pcg64_orderings`, when k <= 64 and the block holds at least 32k
+    orderings; else by NumPy's own generator per ordering,
+    :func:`_numpy_orderings`. Both give the same orderings. The array
+    path's cost per swap is mostly fixed per call, so it pays off over
+    many lanes only, and NumPy's shuffle costs less per element at large k.
     """
     n_categories = len(matrix.categories)
     codes = matrix.codes.astype(np.min_scalar_type(n_categories - 1))
-    roots = _child_states(seeds, None)
-    step = max(1, _BLOCK_BYTES // (8 * k * k) // m)
+    team_bytes = m * (4 * _table_draws(k) + 8 * k) + 8 * k * k + 2 * codes[:k].nbytes
+    step = max(1, _BLOCK_BYTES // team_bytes)
     for first in range(0, len(seeds), step):
         block = seeds[first : first + step]
-        teams = [sample_team(matrix, k, rng) for rng in _streams(roots[first : first + step])]
-        perms = np.empty((len(block), m, k), dtype=np.min_scalar_type(k - 1))
-        perms[...] = np.arange(k)
-        # shuffling arange(k) in place is what Generator.permutation(k) does,
-        # and the swaps it draws do not depend on the dtype
-        for row, rng in zip(perms.reshape(-1, k), _streams(_child_states(block, range(1, m + 1)))):
-            rng.shuffle(row)
+        teams = [sample_team(matrix, k, rng) for rng in _streams(_child_states(block, None))]
+        draw = _pcg64_orderings if k <= 64 and len(block) * m >= 32 * k else _numpy_orderings
+        perms = draw(_child_states(block, range(1, m + 1)).reshape(-1, 4), k)
+        perms = perms.reshape(len(block), m, k)
         team_codes = codes[[matrix.rows(team) for team in teams]]
         yield teams, perms, _prefix_kappas(team_codes, n_categories, perms)
 

@@ -1,15 +1,17 @@
 """The vectorized random streams are NumPy's streams, bit for bit.
 
 kappasim computes SeedSequence's hash for every (seed, spawn key) pair at
-once and seeds NumPy's own PCG64 from the resulting words, one new
-generator per pair. These tests compare every state word, team draw and
-ordering with the installed NumPy's own SeedSequence and default_rng, and
-check that the stacked prefix kernel gives every team what it gives the
-team alone.
+once. From the resulting words it seeds NumPy's own PCG64 for the team
+draws, and runs PCG64 and NumPy's shuffle as array arithmetic for the
+orderings (or, for few orderings, NumPy's own generator per ordering).
+These tests compare every state word, team draw and ordering with the
+installed NumPy's own SeedSequence and default_rng, and check that the
+stacked prefix kernel gives every team what it gives the team alone.
 """
 
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -25,11 +27,19 @@ from kappasim import (
     VariationConfig,
     generate_synthetic,
     run_experiment,
+    run_variation,
     sample_team,
 )
 from kappasim import mc
 from kappasim.cli import main
-from kappasim.mc import _child_states, _experiments, _prefix_kappas, _streams
+from kappasim.mc import (
+    _child_states,
+    _experiments,
+    _numpy_orderings,
+    _pcg64_orderings,
+    _prefix_kappas,
+    _streams,
+)
 
 MAX_KEY = 2**32 - 1
 seeds = st.integers(0, 2**200)
@@ -106,6 +116,56 @@ def test_each_stream_is_its_own_generator():
         assert np.array_equal(rng.permutation(10), want.permutation(10))
 
 
+def shuffled(seed, key, k):
+    row = np.arange(k)
+    np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(key,))).shuffle(row)
+    return row
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, keys, st.integers(3, 257))
+@example(2**130, [1, MAX_KEY], 45)
+@example(0, [1, 2, 3], 256)  # the first k with uint16 orderings
+@example(2**200, [MAX_KEY], 257)
+def test_both_routes_draw_numpy_orderings(seed, key_list, k):
+    states = _child_states([seed], key_list)[0]
+    want = np.stack([shuffled(seed, key, k) for key in key_list])
+    for draw in (_pcg64_orderings, _numpy_orderings):
+        got = draw(states, k)
+        assert got.dtype == np.min_scalar_type(k - 1)
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("k", [3, 7, 33, 64])
+def test_lanes_that_run_out_draw_again(monkeypatch, k):
+    # with no spare draws some of 400 lanes reject too often for the first table
+    states = _child_states([11], range(1, 401))[0]
+    monkeypatch.setattr(mc, "_SPARE_DRAWS", 0)
+    steps = mock.Mock(wraps=mc._pcg64_step)
+    monkeypatch.setattr(mc, "_pcg64_step", steps)
+    got = _pcg64_orderings(states, k)
+    assert steps.call_count > 1 + -(-mc._table_draws(k) // 2)  # seeding, first table
+    assert np.array_equal(got, _numpy_orderings(states, k))
+
+
+@pytest.mark.parametrize("items", [100, 1000])
+@pytest.mark.parametrize("j", [1000, 10000])
+def test_variation_memory_is_bounded_by_the_block_budget(items, j):
+    # at k=3, m=1 a block once held 3,640 teams, and the peak grew with
+    # items and j: 14 blocks' worth at 100 items and j=1000, 425 at 1000
+    # items and j=10**4. Now a few blocks are alive at once; what grows with
+    # j is the output's kappa-hats: a float and its list, tuple and mean
+    # slots, under 48 bytes a team
+    matrix = generate_synthetic(raters=45, items=items, categories=3, noise=0.4, seed=3)
+    tracemalloc.start()
+    try:
+        run_variation(matrix, VariationConfig(k=3, m=1, j=j, seed=5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * mc._BLOCK_BYTES + 48 * j
+
+
 def test_a_bit_generator_asking_for_other_words_is_refused(monkeypatch):
     # SFC64 asks its seed for 3 words: drawing would give another stream
     monkeypatch.setattr(mc.np.random, "PCG64", np.random.SFC64)
@@ -129,6 +189,7 @@ def test_import_does_not_load_numpy_random():
 @settings(max_examples=40, deadline=None)
 @given(seeds, st.integers(3, 12), st.integers(1, 20))
 @example(2**130, 7, 5)
+@example(2**130, 4, 128)  # 32k orderings: the array path
 def test_run_experiment_draws_numpy_team_and_orderings(seed, k, m):
     rs = run_experiment(SMALL, ExperimentConfig(k=k, m=m, seed=seed))
     assert rs.team == sample_team(SMALL, k, np.random.default_rng(np.random.SeedSequence(seed)))
@@ -139,8 +200,11 @@ def test_run_experiment_draws_numpy_team_and_orderings(seed, k, m):
 
 def test_blocks_of_teams_are_each_seeds_experiment():
     team_seeds = _child_states([4], range(1, 8))[0, :, 0]
-    # 2 teams of 9 orderings per block at k=5: four blocks, the last short
-    with mock.patch.object(mc, "_BLOCK_BYTES", 8 * 5 * 5 * 18):
+    # 2 teams of 9 orderings per block at k=5 over 15 items (per team: draw
+    # table and progressions, Gram matrix, two label grids): four blocks,
+    # the last short
+    team_bytes = 9 * (4 * mc._table_draws(5) + 8 * 5) + 8 * 5 * 5 + 2 * 5 * 15
+    with mock.patch.object(mc, "_BLOCK_BYTES", 2 * team_bytes):
         blocks = list(_experiments(SMALL, 5, 9, team_seeds))
     assert [len(teams) for teams, _, _ in blocks] == [2, 2, 2, 1]
     teams = [team for block_teams, _, _ in blocks for team in block_teams]
