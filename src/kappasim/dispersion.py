@@ -89,20 +89,6 @@ class IntervalEstimate:
     upper: float
 
 
-class _TeamSeeds:
-    """Team t's seed for t = 1..j, the first word of ``SeedSequence(seed,
-    spawn_key=(t,))``, computed a slice at a time."""
-
-    def __init__(self, seed: int, j: int) -> None:
-        self.seed, self.keys = seed, range(1, j + 1)
-
-    def __len__(self) -> int:
-        return len(self.keys)
-
-    def __getitem__(self, part: slice) -> np.ndarray:
-        return _child_states([self.seed], self.keys[part])[0, :, 0]
-
-
 def run_variation(matrix: AnnotationMatrix, config: VariationConfig) -> VariationTable:
     """Sample j teams, run m repetitions each, fold the running moments.
 
@@ -114,7 +100,8 @@ def run_variation(matrix: AnnotationMatrix, config: VariationConfig) -> Variatio
     computed with array arithmetic for many teams and orderings at once
     (see :mod:`kappasim.mc`). Teams go through in blocks, each block's
     seeds, orderings and progressions computed in turn: memory is a few
-    ``_BLOCK_BYTES`` blocks plus the kappa-hats, about 50 bytes a team. A
+    ``_BLOCK_BYTES`` blocks plus the team seeds and kappa-hats, about 60
+    bytes a team. A
     spawn key is one 32-bit word, so j and m stay below 2**32. The fold
     update at t=1 reduces to mu_1 and sigma_1 exactly.
     """
@@ -123,7 +110,7 @@ def run_variation(matrix: AnnotationMatrix, config: VariationConfig) -> Variatio
             f"team size {config.k} exceeds the matrix's {len(matrix.raters)} raters"
         )
     ns = tuple(range(2, config.k + 1))
-    team_seeds = _TeamSeeds(config.seed, config.j)
+    team_seeds = _child_states([config.seed], range(1, config.j + 1))[0, :, 0].copy()
     mu_bar = np.zeros(len(ns))
     sigma_bar = np.zeros(len(ns))
     team_kappa_hats: list[float] = []

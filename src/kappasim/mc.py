@@ -25,8 +25,9 @@ is built per run: :func:`_child_states` runs SeedSequence's hash (fixed by
 NEP 19) as uint32 array arithmetic for many runs at once, and
 :func:`_pcg64_orderings` runs PCG64 and NumPy's shuffle on the computed
 words as array arithmetic over all runs of a block. Only the team draw
-(and, for few orderings, :func:`_numpy_orderings`) seeds NumPy's own
-PCG64 from the words (:func:`_streams`). NumPy is the oracle: a test pins
+(and, for few orderings or teams over 64 raters,
+:func:`_numpy_orderings`) seeds NumPy's own PCG64 from the words
+(:func:`_streams`). NumPy is the oracle: a test pins
 every word and every ordering of both routes bitwise to the installed
 NumPy. A spawn key is one 32-bit word, so m (and a variation's team count
 j) must stay below 2**32.
@@ -421,6 +422,7 @@ def _prefix_kappas(codes: np.ndarray, n_categories: int, perms: np.ndarray) -> n
         cells = np.arange(len(chunk))[:, None] * n_categories + chunk
         counts = np.bincount(cells.ravel(), minlength=len(chunk) * n_categories)
         totals[start : start + step] = counts.reshape(-1, n_categories)
+    del cells, counts  # not kept alive through the orderings below
     gram = _gram(codes, n_categories).reshape(-1, k)
     if n_items * n_items * k**3 >= _FLOAT_EXACT:
         gram, totals, ns = gram.astype(object), totals.astype(object), ns.astype(object)
@@ -473,27 +475,33 @@ def _experiments(
     Per block, every ordering is drawn first and one kernel call then
     computes all the progressions. A block holds as many teams as keep what
     grows with its teams within ``_BLOCK_BYTES``, and at least one. Per
-    team that is m orderings' draw tables (4 bytes a draw, see
-    :func:`_table_draws`) and progressions (8 bytes a value), a k x k int64
-    Gram matrix and two copies of the k x items label grid; the kernel
-    bounds the rest itself. The team seeds are read a block at a time, so
-    ``seeds`` may compute its slices on demand.
+    team that is m orderings' progressions (8 bytes a value) and, on the
+    array path, their draw tables (4 bytes a draw, see
+    :func:`_table_draws`), a k x k int64 Gram matrix and two copies of the
+    k x items label grid; the kernel bounds the rest itself.
 
-    One rule picks how a block's orderings are drawn: by the array path,
-    :func:`_pcg64_orderings`, when k <= 64 and the block holds at least 32k
-    orderings; else by NumPy's own generator per ordering,
-    :func:`_numpy_orderings`. Both give the same orderings. The array
-    path's cost per swap is mostly fixed per call, so it pays off over
-    many lanes only, and NumPy's shuffle costs less per element at large k.
+    One rule, for the whole call, picks how orderings are drawn: by the
+    array path, :func:`_pcg64_orderings`, when k <= 64 and a block sized
+    with the draw tables holds at least 32k orderings (m times its teams,
+    or times ``len(seeds)`` if that is fewer); else by NumPy's own
+    generator per ordering, :func:`_numpy_orderings`. Both give the same
+    orderings. The array path's cost per swap is mostly fixed, so it pays
+    off over many orderings only, and NumPy's shuffle costs less per
+    element at large k. Timed on a 2-vCPU host, the array path overtakes
+    the loop at 28k-31k orderings for k = 45..64 (and sooner for smaller
+    k); at 32k orderings it is 4-13% slower for k = 72..100.
     """
     n_categories = len(matrix.categories)
     codes = matrix.codes.astype(np.min_scalar_type(n_categories - 1))
-    team_bytes = m * (4 * _table_draws(k) + 8 * k) + 8 * k * k + 2 * codes[:k].nbytes
-    step = max(1, _BLOCK_BYTES // team_bytes)
+    team_bytes = m * 8 * k + 8 * k * k + 2 * codes[:k].nbytes
+    step = max(1, _BLOCK_BYTES // (team_bytes + m * 4 * _table_draws(k)))
+    by_array = k <= 64 and min(step, len(seeds)) * m >= 32 * k
+    if not by_array:
+        step = max(1, _BLOCK_BYTES // team_bytes)
+    draw = _pcg64_orderings if by_array else _numpy_orderings
     for first in range(0, len(seeds), step):
         block = seeds[first : first + step]
         teams = [sample_team(matrix, k, rng) for rng in _streams(_child_states(block, None))]
-        draw = _pcg64_orderings if k <= 64 and len(block) * m >= 32 * k else _numpy_orderings
         perms = draw(_child_states(block, range(1, m + 1)).reshape(-1, 4), k)
         perms = perms.reshape(len(block), m, k)
         team_codes = codes[[matrix.rows(team) for team in teams]]

@@ -154,8 +154,8 @@ def test_variation_memory_is_bounded_by_the_block_budget(items, j):
     # at k=3, m=1 a block once held 3,640 teams, and the peak grew with
     # items and j: 14 blocks' worth at 100 items and j=1000, 425 at 1000
     # items and j=10**4. Now a few blocks are alive at once; what grows with
-    # j is the output's kappa-hats: a float and its list, tuple and mean
-    # slots, under 48 bytes a team
+    # j is the team seeds (8 bytes a team) and the output's kappa-hats (a
+    # float and its list, tuple and mean slots)
     matrix = generate_synthetic(raters=45, items=items, categories=3, noise=0.4, seed=3)
     tracemalloc.start()
     try:
@@ -200,10 +200,10 @@ def test_run_experiment_draws_numpy_team_and_orderings(seed, k, m):
 
 def test_blocks_of_teams_are_each_seeds_experiment():
     team_seeds = _child_states([4], range(1, 8))[0, :, 0]
-    # 2 teams of 9 orderings per block at k=5 over 15 items (per team: draw
-    # table and progressions, Gram matrix, two label grids): four blocks,
-    # the last short
-    team_bytes = 9 * (4 * mc._table_draws(5) + 8 * 5) + 8 * 5 * 5 + 2 * 5 * 15
+    # 2 teams of 9 orderings per block at k=5 over 15 items (per team:
+    # progressions, Gram matrix, two label grids; too few orderings for the
+    # array path and its draw tables): four blocks, the last short
+    team_bytes = 9 * 8 * 5 + 8 * 5 * 5 + 2 * 5 * 15
     with mock.patch.object(mc, "_BLOCK_BYTES", 2 * team_bytes):
         blocks = list(_experiments(SMALL, 5, 9, team_seeds))
     assert [len(teams) for teams, _, _ in blocks] == [2, 2, 2, 1]
