@@ -99,11 +99,10 @@ def run_variation(matrix: AnnotationMatrix, config: VariationConfig) -> Variatio
     (matrix, config). These are NumPy's SeedSequence -> PCG64 streams,
     computed with array arithmetic for many teams and orderings at once
     (see :mod:`kappasim.mc`). Teams go through in blocks, each block's
-    seeds, orderings and progressions computed in turn: memory is a few
-    ``_BLOCK_BYTES`` blocks plus the team seeds and kappa-hats, about 60
-    bytes a team. A
-    spawn key is one 32-bit word, so j and m stay below 2**32. The fold
-    update at t=1 reduces to mu_1 and sigma_1 exactly.
+    root words, orderings and progressions computed in turn: memory is a
+    few ``_BLOCK_BYTES`` blocks plus the team seeds and kappa-hats, about
+    60 bytes a team. A spawn key is one 32-bit word, so j and m stay below
+    2**32. The fold update at t=1 reduces to mu_1 and sigma_1 exactly.
     """
     if config.k > len(matrix.raters):
         raise DataError(
