@@ -29,7 +29,6 @@ from kappasim.mc import (
     ExperimentConfig,
     RunSet,
     SubsetStats,
-    prefix_kappas,
     read_runs,
     read_stats,
     run_experiment,
@@ -50,7 +49,6 @@ from kappasim.minfit import (
     fit_report_json,
     format_fit_report,
     r_squared,
-    read_minima,
     stage_model,
     write_minima,
 )
@@ -88,7 +86,6 @@ __all__ = [
     "ExperimentConfig",
     "RunSet",
     "SubsetStats",
-    "prefix_kappas",
     "read_runs",
     "read_stats",
     "run_experiment",
@@ -107,7 +104,6 @@ __all__ = [
     "fit_report_json",
     "format_fit_report",
     "r_squared",
-    "read_minima",
     "stage_model",
     "write_minima",
     "EMPIRICAL_RULE_PERCENT",

@@ -113,7 +113,7 @@ def run_variation(matrix: AnnotationMatrix, config: VariationConfig) -> Variatio
     mu_bar = np.zeros(len(ns))
     sigma_bar = np.zeros(len(ns))
     team_kappa_hats: list[float] = []
-    for _, _, kappas in _experiments(matrix, config.k, config.m, team_seeds):
+    for _, kappas in _experiments(matrix, config.k, config.m, team_seeds):
         for table in kappas:
             t = len(team_kappa_hats) + 1
             mu_t, sigma_t = column_moments(table)

@@ -75,32 +75,29 @@ class ExperimentConfig:
 class RunSet:
     """All m repetitions for one team, stored by column.
 
-    Row r-1 holds run r: ``perms[r-1]`` is its ordering as positions in
-    ``team`` and ``kappas[r-1]`` its kappa_2..kappa_k. ``kappa_hat`` is the
-    full-team agreement, equal to every run's final prefix value exactly.
+    Row r-1 of ``kappas`` holds run r's kappa_2..kappa_k. ``kappa_hat`` is
+    the full-team agreement, equal to every run's final prefix value
+    exactly. Run r's ordering is not stored: it is
+    ``default_rng(SeedSequence(seed, spawn_key=(r,))).permutation(k)``, as
+    positions in ``team``.
     """
 
     config: ExperimentConfig
     team: tuple[str, ...]
     kappa_hat: float
-    perms: np.ndarray
     kappas: np.ndarray
 
     def __post_init__(self) -> None:
         k, m = self.config.k, self.config.m
-        perms = np.array(self.perms, dtype=np.int64)
         kappas = np.array(self.kappas, dtype=np.float64)
-        if perms.shape != (m, k):
-            raise DataError(f"orderings must have shape (m, k) = {(m, k)}, got {perms.shape}")
         if kappas.shape != (m, k - 1):
             raise DataError(
                 f"progressions must have shape (m, k-1) = {(m, k - 1)}, got {kappas.shape}"
             )
         if np.any(kappas[:, -1] != self.kappa_hat):
             raise DataError("final prefix agreement differs across runs")
-        for name, arr in (("perms", perms), ("kappas", kappas)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        kappas.setflags(write=False)
+        object.__setattr__(self, "kappas", kappas)
 
     @property
     def ns(self) -> tuple[int, ...]:
@@ -443,34 +440,12 @@ def _prefix_kappas(codes: np.ndarray, n_categories: int, perms: np.ndarray) -> n
     return kappas.reshape(n_teams, m, k - 1)
 
 
-def prefix_kappas(
-    matrix: AnnotationMatrix,
-    team: Sequence[str],
-    ordering: Sequence[str],
-) -> np.ndarray:
-    """kappa_2..kappa_k for one ordering of a team.
-
-    Each call builds the team's Gram matrix, O(k^2 * items): about 350-500
-    us at k = 45 with 100 items on a 2-vCPU host. To loop over orderings of
-    one team, use :func:`run_experiment`, which builds it once for all.
-    """
-    if len(team) < 2:
-        raise DataError("team must have at least 2 members")
-    if len(set(team)) != len(team):
-        raise DataError("team members must be distinct")
-    if sorted(team) != sorted(ordering):
-        raise DataError("ordering must be a permutation of the team")
-    idx = matrix.rows(ordering)
-    perm = np.arange(len(idx))[None, None, :]
-    return _prefix_kappas(matrix.codes[idx][None], len(matrix.categories), perm)[0, 0]
-
-
 def _experiments(
     matrix: AnnotationMatrix, k: int, m: int, seeds: Sequence[int]
-) -> Iterator[tuple[list[tuple[str, ...]], np.ndarray, np.ndarray]]:
+) -> Iterator[tuple[list[tuple[str, ...]], np.ndarray]]:
     """The experiment of :func:`run_experiment` for each seed, in order, in
-    blocks of teams: yields each block's teams, orderings (teams, m, k) and
-    progressions (teams, m, k-1).
+    blocks of teams: yields each block's teams and progressions
+    (teams, m, k-1).
 
     Per block, every ordering is drawn first and one kernel call then
     computes all the progressions. A block holds as many teams as keep what
@@ -505,7 +480,7 @@ def _experiments(
         perms = draw(_child_states(block, range(1, m + 1)).reshape(-1, 4), k)
         perms = perms.reshape(len(block), m, k)
         team_codes = codes[[matrix.rows(team) for team in teams]]
-        yield teams, perms, _prefix_kappas(team_codes, n_categories, perms)
+        yield teams, _prefix_kappas(team_codes, n_categories, perms)
 
 
 def run_experiment(matrix: AnnotationMatrix, config: ExperimentConfig) -> RunSet:
@@ -515,12 +490,11 @@ def run_experiment(matrix: AnnotationMatrix, config: ExperimentConfig) -> RunSet
     child stream, so no run depends on another. The orderings are drawn
     first, then all m progressions are computed in one batch.
     """
-    teams, perms, kappas = next(_experiments(matrix, config.k, config.m, [config.seed]))
+    teams, kappas = next(_experiments(matrix, config.k, config.m, [config.seed]))
     return RunSet(
         config=config,
         team=teams[0],
         kappa_hat=float(kappas[0, 0, -1]),
-        perms=perms[0],
         kappas=kappas[0],
     )
 

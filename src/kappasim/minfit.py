@@ -31,7 +31,7 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from kappasim.corpus import read_columns, write_table
+from kappasim.corpus import write_table
 from kappasim.errors import DataError
 from kappasim.mc import SubsetStats
 
@@ -312,9 +312,3 @@ def fit_report_json(result: ModelFit) -> str:
 def write_minima(points: MinPoints, dest: str | Path | TextIO | None) -> None:
     """Write the minima file: ``n,min_kappa``, one row per point."""
     write_table(dest, MINIMA_HEADER, ((n, f"{y:.6f}") for n, y in points.points))
-
-
-def read_minima(path: str | Path) -> tuple[tuple[int, float], ...]:
-    """Read a minima file back as (n, min kappa) pairs."""
-    ns, ys = read_columns(path, MINIMA_HEADER, "minima", ("int", "float"))
-    return tuple(zip(ns.tolist(), ys.tolist()))

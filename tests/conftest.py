@@ -13,7 +13,9 @@ from kappasim import (
     RunSet,
     generate_synthetic,
     run_experiment,
+    sample_team,
 )
+from kappasim.mc import _prefix_kappas
 
 # Noise level at which the 3-category synthetic cohort lands near
 # kappa = 0.22: with keep probability 1-rho, observed agreement is
@@ -71,6 +73,36 @@ def subset(matrix: AnnotationMatrix, raters) -> AnnotationMatrix:
     """``matrix`` restricted to ``raters``, in the given order."""
     rows = matrix.rows(raters)
     return AnnotationMatrix(tuple(raters), matrix.items, matrix.categories, matrix.codes[rows])
+
+
+def numpy_team(matrix: AnnotationMatrix, k: int, seed: int) -> tuple[str, ...]:
+    """The team of the experiment with ``seed``, drawn on NumPy's own root
+    stream ``default_rng(SeedSequence(seed))``."""
+    return sample_team(matrix, k, np.random.default_rng(np.random.SeedSequence(seed)))
+
+
+def numpy_orderings(seed: int, k: int, m: int) -> np.ndarray:
+    """Runs 1..m's orderings (positions in the team), (m, k): run r's is
+    ``permutation(k)`` on NumPy's own stream
+    ``default_rng(SeedSequence(seed, spawn_key=(r,)))``."""
+    return np.array(
+        [
+            np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,))).permutation(k)
+            for r in range(1, m + 1)
+        ]
+    )
+
+
+def kernel_rows(matrix: AnnotationMatrix, team, perms) -> np.ndarray:
+    """kappa_2..kappa_k of each ordering in ``perms`` (rows of positions in
+    ``team``): the prefix kernel on a one-team stack."""
+    codes = matrix.codes[matrix.rows(team)][None]
+    return _prefix_kappas(codes, len(matrix.categories), np.asarray(perms)[None])[0]
+
+
+def ordering_kappas(matrix: AnnotationMatrix, ordering) -> np.ndarray:
+    """kappa_2..kappa_k of the prefixes of one ordering of raters."""
+    return kernel_rows(matrix, ordering, [np.arange(len(ordering))])[0]
 
 
 def label(matrix: AnnotationMatrix, rater: str, item: str) -> str:

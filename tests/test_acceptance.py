@@ -30,7 +30,6 @@ from kappasim import (
     load_mapping,
     load_raw,
     preprocess,
-    prefix_kappas,
     read_matrix,
     run_experiment,
     run_variation,
@@ -41,7 +40,7 @@ from kappasim import (
 from kappasim.cli import main
 from kappasim.mc import column_moments
 
-from conftest import kappa_fraction, matrix_from_codes, random_counts
+from conftest import kappa_fraction, matrix_from_codes, ordering_kappas, random_counts
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -257,7 +256,7 @@ def test_c08_closed_form_identities():
 def numpy_variation(matrix, k, m, j, seed):
     """mu_bar, sigma_bar and the team kappa-hats of run_variation, rebuilt
     from NumPy's own SeedSequence and default_rng objects, one stream and
-    one prefix_kappas call at a time."""
+    one single-ordering prefix kernel call at a time."""
     mu_bar = sigma_bar = np.zeros(k - 1)
     hats = []
     for t in range(1, j + 1):
@@ -266,7 +265,7 @@ def numpy_variation(matrix, k, m, j, seed):
         table = []
         for r in range(1, m + 1):
             perm = np.random.default_rng(np.random.SeedSequence(sub, spawn_key=(r,))).permutation(k)
-            table.append(prefix_kappas(matrix, team, [team[i] for i in perm]))
+            table.append(ordering_kappas(matrix, [team[i] for i in perm]))
         mu_t, sigma_t = column_moments(np.array(table))
         mu_bar = ((t - 1) * mu_bar + mu_t) / t
         sigma_bar = ((t - 1) * sigma_bar + sigma_t) / t

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from kappasim import ExperimentConfig, run_experiment, summarize_table
 from kappasim.mc import column_moments
 
-from conftest import matrix_from_codes
+from conftest import kernel_rows, matrix_from_codes, numpy_orderings
 
 
 def reference_summary(table):
@@ -71,8 +71,8 @@ SMALL = matrix_from_codes(np.random.default_rng(5).integers(3, size=(9, 20)), n_
 @given(st.integers(3, 9), st.integers(1, 12), st.integers(0, 2**32 - 1))
 def test_orderings_are_permutations_and_prefix_stable(k, m, seed):
     rs = run_experiment(SMALL, ExperimentConfig(k=k, m=m, seed=seed))
-    assert np.array_equal(np.sort(rs.perms, axis=1), np.tile(np.arange(k), (m, 1)))
+    # row r-1 is the kernel on run r's permutation from NumPy's own stream
+    assert np.array_equal(rs.kappas, kernel_rows(SMALL, rs.team, numpy_orderings(seed, k, m)))
     longer = run_experiment(SMALL, ExperimentConfig(k=k, m=m + 3, seed=seed))
     assert longer.team == rs.team
-    assert np.array_equal(longer.perms[:m], rs.perms)
     assert np.array_equal(longer.kappas[:m], rs.kappas)

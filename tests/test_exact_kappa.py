@@ -17,13 +17,19 @@ from kappasim import (
     ExperimentConfig,
     fleiss_kappa,
     kappa_from_counts,
-    prefix_kappas,
     run_experiment,
 )
 from kappasim import mc
 from kappasim.agreement import _kappa
 
-from conftest import kappa_fraction, matrix_from_codes, p_fractions, subset
+from conftest import (
+    kappa_fraction,
+    matrix_from_codes,
+    numpy_orderings,
+    ordering_kappas,
+    p_fractions,
+    subset,
+)
 
 
 @st.composite
@@ -79,7 +85,7 @@ def test_every_prefix_is_the_correctly_rounded_rational(grid):
     codes, n_categories, rng = grid
     matrix = matrix_from_codes(codes, n_categories)
     ordering = tuple(matrix.raters[i] for i in rng.permutation(len(matrix.raters)))
-    got = prefix_kappas(matrix, matrix.raters, ordering)
+    got = ordering_kappas(matrix, ordering)
     want = [exact(matrix, ordering[:n])[0] for n in range(2, len(ordering) + 1)]
     assert got.tolist() == want
     assert got[-1] == fleiss_kappa(matrix).kappa
@@ -97,17 +103,17 @@ def test_batched_rows_equal_single_orderings(grid, m, seed):
         blocked = run_experiment(matrix, config)
     whole = run_experiment(matrix, config)
     assert np.array_equal(blocked.kappas, whole.kappas)
-    for perm, row in zip(blocked.perms, blocked.kappas):
+    for perm, row in zip(numpy_orderings(seed, k, m), blocked.kappas):
         ordering = [blocked.team[p] for p in perm]
-        assert np.array_equal(row, prefix_kappas(matrix, blocked.team, ordering))
+        assert np.array_equal(row, ordering_kappas(matrix, ordering))
 
 
 def test_twin_runset_rows_equal_single_orderings(twin_matrix, twin_runset):
     # k=45, m=300 spans several default-size blocks of orderings
-    assert len(twin_runset.perms) > mc._BLOCK_BYTES // (8 * 45 * 45)
-    for perm, row in zip(twin_runset.perms, twin_runset.kappas):
+    assert len(twin_runset.kappas) > mc._BLOCK_BYTES // (8 * 45 * 45)
+    for perm, row in zip(numpy_orderings(42, 45, 300), twin_runset.kappas):
         ordering = [twin_runset.team[p] for p in perm]
-        assert np.array_equal(row, prefix_kappas(twin_matrix, twin_runset.team, ordering))
+        assert np.array_equal(row, ordering_kappas(twin_matrix, ordering))
 
 
 def defining_ratio(S, T2, N, n):

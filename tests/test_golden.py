@@ -18,7 +18,7 @@ import pytest
 from kappasim import ExperimentConfig, fleiss_kappa, generate_synthetic, run_experiment
 from kappasim.cli import main
 
-from conftest import kappa_fraction, p_fractions, subset
+from conftest import kappa_fraction, numpy_orderings, numpy_team, p_fractions, subset
 
 MAPPING = """\
 computer_scientist_col = cs
@@ -121,7 +121,8 @@ def test_moved_digits_are_the_exact_rationals(outputs):
     assert fleiss_kappa(matrix).p_bar_e == float(p_bar_e) == 0.34375
 
     runs = run_experiment(matrix, ExperimentConfig(k=6, m=20, seed=3))
-    first_five = [runs.team[p] for p in runs.perms[17][:5]]  # run 18, n=5
+    perm = numpy_orderings(3, 6, 18)[17]  # run 18, from NumPy's own stream
+    first_five = [numpy_team(matrix, 6, 3)[p] for p in perm[:5]]  # n=5
     want, _ = kappa_fraction(subset(matrix, first_five).counts())
     assert want == Fraction(43, 128)
     assert runs.kappas[17][3] == float(want) == 0.3359375

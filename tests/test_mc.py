@@ -10,7 +10,6 @@ from kappasim import (
     RunSet,
     fleiss_kappa,
     generate_synthetic,
-    prefix_kappas,
     read_runs,
     read_stats,
     run_experiment,
@@ -21,7 +20,7 @@ from kappasim import (
     write_stats,
 )
 
-from conftest import matrix_from_codes, subset
+from conftest import kernel_rows, matrix_from_codes, numpy_orderings, ordering_kappas, subset
 
 
 class TestSampleTeam:
@@ -60,7 +59,7 @@ class TestPrefixKappas:
     def test_unanimous_team(self):
         codes = np.tile(np.array([0, 1, 2, 1]), (3, 1))
         m = matrix_from_codes(codes, n_categories=3)
-        kappas = prefix_kappas(m, m.raters, m.raters)
+        kappas = ordering_kappas(m, m.raters)
         assert kappas.tolist() == [1.0, 1.0]
 
     def test_order_dependence_of_early_prefixes(self):
@@ -73,15 +72,16 @@ class TestPrefixKappas:
             ]
         )
         m = matrix_from_codes(codes, n_categories=3)
-        agreeing_first = prefix_kappas(m, m.raters, ("r1", "r2", "r3"))
-        scatter_first = prefix_kappas(m, m.raters, ("r3", "r1", "r2"))
+        agreeing_first = ordering_kappas(m, ("r1", "r2", "r3"))
+        scatter_first = ordering_kappas(m, ("r3", "r1", "r2"))
         assert agreeing_first[0] == 1.0
         assert scatter_first[0] < 1.0
         # either way the full-team value is the same, bitwise
         assert agreeing_first[-1] == scatter_first[-1]
 
     def test_each_prefix_matches_direct_evaluation(self, twin_matrix, twin_runset):
-        ordering = tuple(twin_runset.team[p] for p in twin_runset.perms[0])
+        # run 1's ordering, from NumPy's own stream for the fixture's seed
+        ordering = tuple(twin_runset.team[p] for p in numpy_orderings(42, 45, 1)[0])
         for n in (2, 7, 23, 45):
             direct = fleiss_kappa(subset(twin_matrix, ordering[:n])).kappa
             assert twin_runset.kappas[0][n - 2] == direct
@@ -94,23 +94,10 @@ class TestPrefixKappas:
         m1 = matrix_from_codes(codes, n_categories=3)
         m2 = matrix_from_codes(mutated, n_categories=3)
         ordering = ("r1", "r4", "r3", "r2")  # r3 at position 3
-        k1 = prefix_kappas(m1, m1.raters, ordering)
-        k2 = prefix_kappas(m2, m2.raters, ordering)
+        k1 = ordering_kappas(m1, ordering)
+        k2 = ordering_kappas(m2, ordering)
         assert k1[0] == k2[0]  # n=2 untouched
         assert k1[1] != k2[1] and k1[2] != k2[2]
-
-    def test_unknown_rater_messages_unchanged(self, twin_matrix):
-        # one message, naming every unknown rater in ordering order
-        team = ("p01", "nobody", "p02", "none")
-        with pytest.raises(DataError, match="^team members not in matrix: none, nobody$"):
-            prefix_kappas(twin_matrix, team, team[::-1])
-
-    def test_ordering_must_permute_team(self, twin_matrix):
-        team = twin_matrix.raters[:4]
-        with pytest.raises(DataError, match="permutation"):
-            prefix_kappas(twin_matrix, team, team[:3])
-        with pytest.raises(DataError, match="permutation"):
-            prefix_kappas(twin_matrix, team, team[:3] + ("p99",))
 
 
 class TestRunExperiment:
@@ -124,12 +111,9 @@ class TestRunExperiment:
         a = run_experiment(twin_matrix, cfg)
         b = run_experiment(twin_matrix, cfg)
         assert a.team == b.team
-        assert np.array_equal(a.perms, b.perms)
         assert np.array_equal(a.kappas, b.kappas)
         # row r-1 is run r: its ordering comes from the child stream keyed on r
-        for run_id, perm in enumerate(a.perms, 1):
-            rng = np.random.default_rng(np.random.SeedSequence(4, spawn_key=(run_id,)))
-            assert np.array_equal(perm, rng.permutation(10))
+        assert np.array_equal(a.kappas, kernel_rows(twin_matrix, a.team, numpy_orderings(4, 10, 37)))
 
     def test_thread_count_invariance(self, twin_matrix):
         # run_experiment keeps no shared state, so callers on several threads
@@ -140,19 +124,16 @@ class TestRunExperiment:
             threaded = list(pool.map(lambda _: run_experiment(twin_matrix, cfg), range(4)))
         for rs in threaded:
             assert rs.team == serial.team
-            assert np.array_equal(rs.perms, serial.perms)
             assert np.array_equal(rs.kappas, serial.kappas)
             assert rs.kappa_hat == serial.kappa_hat
 
     def test_single_run(self, twin_matrix):
         rs = run_experiment(twin_matrix, ExperimentConfig(k=5, m=1, seed=0))
-        assert rs.perms.shape == (1, 5)
         assert rs.kappas.shape == (1, 4)
 
     def test_runs_prefix_stable_in_m(self, twin_matrix):
         short = run_experiment(twin_matrix, ExperimentConfig(k=6, m=10, seed=9))
         long = run_experiment(twin_matrix, ExperimentConfig(k=6, m=40, seed=9))
-        assert np.array_equal(long.perms[:10], short.perms)
         assert np.array_equal(long.kappas[:10], short.kappas)
         # hence per-n minima can only go down as m grows
         assert np.all(long.kappas.min(axis=0) <= short.kappas.min(axis=0))
@@ -184,23 +165,19 @@ class TestConfigAndRecords:
 
     def test_runset_shape_check(self):
         cfg = ExperimentConfig(k=3, m=2, seed=0)
-        perms = np.array([[0, 1, 2], [1, 0, 2]])
         kappas = np.array([[0.1, 0.5], [0.2, 0.5]])
         with pytest.raises(DataError, match="shape"):
-            RunSet(cfg, ("a", "b", "c"), 0.5, perms[:, :2], kappas)
+            RunSet(cfg, ("a", "b", "c"), 0.5, kappas[:1])
         with pytest.raises(DataError, match="shape"):
-            RunSet(cfg, ("a", "b", "c"), 0.5, perms[:1], kappas)
-        with pytest.raises(DataError, match="shape"):
-            RunSet(cfg, ("a", "b", "c"), 0.5, perms, kappas[:, :1])
-        rs = RunSet(cfg, ("a", "b", "c"), 0.5, perms, kappas)
+            RunSet(cfg, ("a", "b", "c"), 0.5, kappas[:, :1])
+        rs = RunSet(cfg, ("a", "b", "c"), 0.5, kappas)
         assert rs.ns == (2, 3)
-        assert not rs.kappas.flags.writeable and not rs.perms.flags.writeable
+        assert not rs.kappas.flags.writeable
 
     def test_runset_checks_final_agreement(self):
-        perms = np.array([[0, 1, 2], [1, 0, 2]])
         kappas = np.array([[0.1, 0.5], [0.2, 0.4]])
         with pytest.raises(DataError, match="final prefix"):
-            RunSet(ExperimentConfig(k=3, m=2, seed=0), ("a", "b", "c"), 0.5, perms, kappas)
+            RunSet(ExperimentConfig(k=3, m=2, seed=0), ("a", "b", "c"), 0.5, kappas)
 
 
 class TestSummarize:
@@ -305,6 +282,6 @@ def test_degenerate_prefixes_report_unity():
     # two raters always unanimous in one category, third introduces a second
     codes = np.array([[0, 0, 0], [0, 0, 0], [0, 1, 0]])
     m = matrix_from_codes(codes, n_categories=2)
-    kappas = prefix_kappas(m, m.raters, m.raters)
+    kappas = ordering_kappas(m, m.raters)
     assert kappas[0] == 1.0  # single-category prefix, by convention
     assert kappas[1] < 1.0

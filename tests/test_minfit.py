@@ -13,11 +13,12 @@ from kappasim import (
     fit_report_json,
     format_fit_report,
     r_squared,
-    read_minima,
     stage_model,
     summarize_table,
     write_minima,
 )
+from kappasim.corpus import read_columns
+from kappasim.minfit import MINIMA_HEADER
 
 
 def model_points(k: int, kappa_hat: float) -> MinPoints:
@@ -293,6 +294,6 @@ class TestReportsAndFiles:
         path = tmp_path / "minima.csv"
         write_minima(mp, path)
         assert path.read_text().splitlines()[0] == "n,min_kappa"
-        pairs = read_minima(path)
-        assert [n for n, _ in pairs] == list(mp.ns)
-        assert [y for _, y in pairs] == pytest.approx(list(mp.ys), abs=5e-7)
+        ns, ys = read_columns(path, MINIMA_HEADER, "minima", ("int", "float"))
+        assert ns.tolist() == list(mp.ns)
+        assert ys.tolist() == pytest.approx(list(mp.ys), abs=5e-7)

@@ -28,7 +28,6 @@ from kappasim import (
     generate_synthetic,
     run_experiment,
     run_variation,
-    sample_team,
 )
 from kappasim import mc
 from kappasim.cli import main
@@ -40,6 +39,8 @@ from kappasim.mc import (
     _prefix_kappas,
     _streams,
 )
+
+from conftest import kernel_rows, numpy_orderings, numpy_team
 
 MAX_KEY = 2**32 - 1
 seeds = st.integers(0, 2**200)
@@ -191,11 +192,22 @@ def test_import_does_not_load_numpy_random():
 @example(2**130, 7, 5)
 @example(2**130, 4, 128)  # 32k orderings: the array path
 def test_run_experiment_draws_numpy_team_and_orderings(seed, k, m):
+    # the orderings are read where the kernel receives them
+    with mock.patch.object(mc, "_prefix_kappas", wraps=mc._prefix_kappas) as kernel:
+        rs = run_experiment(SMALL, ExperimentConfig(k=k, m=m, seed=seed))
+    assert rs.team == numpy_team(SMALL, k, seed)
+    (perms,) = [call.args[2] for call in kernel.call_args_list]
+    assert np.array_equal(perms[0], numpy_orderings(seed, k, m))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds, st.integers(3, 12), st.integers(1, 20))
+@example(2**130, 7, 5)
+@example(2**130, 4, 128)  # 32k orderings: the array path
+def test_run_experiment_rows_are_the_kernel_on_numpy_orderings(seed, k, m):
     rs = run_experiment(SMALL, ExperimentConfig(k=k, m=m, seed=seed))
-    assert rs.team == sample_team(SMALL, k, np.random.default_rng(np.random.SeedSequence(seed)))
-    for r, perm in enumerate(rs.perms, 1):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
-        assert np.array_equal(perm, rng.permutation(k))
+    team = numpy_team(SMALL, k, seed)
+    assert np.array_equal(rs.kappas, kernel_rows(SMALL, team, numpy_orderings(seed, k, m)))
 
 
 def test_blocks_of_teams_are_each_seeds_experiment():
@@ -206,15 +218,14 @@ def test_blocks_of_teams_are_each_seeds_experiment():
     team_bytes = 9 * 8 * 5 + 8 * 5 * 5 + 2 * 5 * 15
     with mock.patch.object(mc, "_BLOCK_BYTES", 2 * team_bytes):
         blocks = list(_experiments(SMALL, 5, 9, team_seeds))
-    assert [len(teams) for teams, _, _ in blocks] == [2, 2, 2, 1]
-    teams = [team for block_teams, _, _ in blocks for team in block_teams]
-    perms = np.concatenate([block_perms for _, block_perms, _ in blocks])
-    kappas = np.concatenate([block_kappas for _, _, block_kappas in blocks])
+    assert [len(teams) for teams, _ in blocks] == [2, 2, 2, 1]
+    teams = [team for block_teams, _ in blocks for team in block_teams]
+    kappas = np.concatenate([block_kappas for _, block_kappas in blocks])
     for t, seed in enumerate(team_seeds.tolist()):
         alone = run_experiment(SMALL, ExperimentConfig(k=5, m=9, seed=seed))
-        assert teams[t] == alone.team
-        assert np.array_equal(perms[t], alone.perms)
+        assert teams[t] == alone.team == numpy_team(SMALL, 5, seed)
         assert np.array_equal(kappas[t], alone.kappas)
+        assert np.array_equal(kappas[t], kernel_rows(SMALL, teams[t], numpy_orderings(seed, 5, 9)))
 
 
 class TestKeyLimit:

@@ -33,7 +33,6 @@ from kappasim import (
     generate_synthetic,
     load_raw,
     read_matrix,
-    read_minima,
     read_runs,
     read_stats,
     read_variation,
@@ -59,6 +58,13 @@ from kappasim.minfit import MINIMA_HEADER
 
 from conftest import label
 
+
+def minima_columns(path):
+    """A minima file's (n, min kappa) columns, as lists, through the shared
+    typed-column reader."""
+    return [col.tolist() for col in read_columns(path, MINIMA_HEADER, "minima", ("int", "float"))]
+
+
 # table name (as in its messages) -> reader, header, two valid data rows
 TABLES = {
     "matrix": (read_matrix, "rater,item,label", ["a,s1,positive", "b,s1,neutral"]),
@@ -73,7 +79,7 @@ TABLES = {
         "n,mu_bar,sigma_bar,cv,cv_percent",
         ["2,0.5,0.1,0.2,20.00", "3,0.4,0.0,0.0,0.00"],
     ),
-    "minima": (read_minima, "n,min_kappa", ["2,0.1", "3,0.2"]),
+    "minima": (minima_columns, "n,min_kappa", ["2,0.1", "3,0.2"]),
 }
 
 
@@ -295,8 +301,7 @@ def test_numpy_pass_matches_the_csv_reader(scratch, case):
 @pytest.mark.parametrize("what", ["runs", "stats", "minima", "variation"])
 def test_own_format_takes_the_numpy_pass(tmp_path, monkeypatch, what):
     kappas = np.array([[0.1, -0.25, 0.5], [0.3, 0.2, 0.5]])
-    runs = RunSet(ExperimentConfig(k=4, m=2, seed=0), ("a", "b", "c", "d"), 0.5,
-                  np.tile(np.arange(4), (2, 1)), kappas)
+    runs = RunSet(ExperimentConfig(k=4, m=2, seed=0), ("a", "b", "c", "d"), 0.5, kappas)
     mu, sigma = np.array([0.0, 0.4, 0.5]), np.array([0.1, 0.2, 0.0])
     cv = np.array([math.nan, 0.5, 0.0])  # an undefined cv is written as nan
     table, write = {
@@ -641,9 +646,8 @@ def run_sets(draw):
     kappa_hat = draw(finite)
     rows = draw(st.lists(st.lists(finite, min_size=k - 2, max_size=k - 2), min_size=m, max_size=m))
     kappas = np.array([row + [kappa_hat] for row in rows])
-    perms = np.tile(np.arange(k), (m, 1))
     config = ExperimentConfig(k=k, m=m, seed=0)
-    return RunSet(config, tuple(f"r{i}" for i in range(k)), kappa_hat, perms, kappas)
+    return RunSet(config, tuple(f"r{i}" for i in range(k)), kappa_hat, kappas)
 
 
 @settings(max_examples=60, deadline=None)
@@ -662,8 +666,7 @@ def test_write_runs_memory_does_not_grow_with_m(tmp_path):
         kappas = np.random.default_rng(m).uniform(-1.0, 1.0, (m, 44))
         kappas[:, -1] = 0.5
         team = tuple(f"r{i}" for i in range(45))
-        runs = RunSet(ExperimentConfig(k=45, m=m, seed=0), team, 0.5,
-                      np.tile(np.arange(45), (m, 1)), kappas)
+        runs = RunSet(ExperimentConfig(k=45, m=m, seed=0), team, 0.5, kappas)
         tracemalloc.start()
         try:
             write_runs(runs, tmp_path / "runs.csv")
@@ -723,6 +726,6 @@ def test_minima_round_trip(scratch, case):
     points = MinPoints(tuple((n, ys[n - 2]) for n in sorted(ns)), k=k, kappa_hat=0.5)
     path = scratch / "minima.csv"
     write_minima(points, path)
-    back = read_minima(path)
-    assert [n for n, _ in back] == list(points.ns)
-    assert np.array_equal([y for _, y in back], at_file_precision(points.ys))
+    ns, ys = read_columns(path, MINIMA_HEADER, "minima", ("int", "float"))
+    assert ns.tolist() == list(points.ns)
+    assert np.array_equal(ys, at_file_precision(points.ys))
