@@ -221,9 +221,10 @@ def _cmd_variation(args: argparse.Namespace) -> int:
     table = run_variation(matrix, config)
     print(f"dataset kappa_hat = {table.dataset_kappa_hat:.6f}", file=sys.stderr)
     print(f"mean team kappa_hat = {table.mean_team_kappa_hat:.6f}", file=sys.stderr)
+    if args.intervals_out:  # first, so a cv the intervals refuse leaves no file written
+        rows = _interval_rows(table.dataset_kappa_hat, zip(table.ns, table.cv.tolist()), (1, 2, 3))
     write_variation(table, args.out)
     if args.intervals_out:
-        rows = _interval_rows(table.dataset_kappa_hat, zip(table.ns, table.cv.tolist()), (1, 2, 3))
         write_intervals(rows, args.intervals_out)
     return 0
 

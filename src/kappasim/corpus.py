@@ -32,13 +32,18 @@ MATRIX_HEADER = ("rater", "item", "label")
 @contextmanager
 def open_text_dest(dest: str | Path | TextIO | None) -> Iterator[TextIO]:
     """Yield a writable text stream: a file at ``dest``, a passed-through
-    stream, or stdout when ``dest`` is None."""
+    stream, or stdout when ``dest`` is None. A file that cannot be opened
+    (a directory, no permission) raises :class:`DataError` naming it."""
     if dest is None:
         yield sys.stdout
     elif hasattr(dest, "write"):
         yield dest  # type: ignore[misc]
     else:
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
+        try:
+            fh = open(dest, "w", encoding="utf-8", newline="")
+        except OSError as exc:
+            raise DataError(f"{dest}: cannot write file: {exc.strerror}") from None
+        with fh:
             yield fh
 
 

@@ -11,9 +11,10 @@ whole matrix, which is how a given team is simulated.
 
 The prefix values come from the team's rater x rater agreement counts
 (Gram matrix) and per-rater category totals, tabulated once per team:
-each prefix is a pair of integer cumulative sums and one division, the
+each prefix is a pair of integer running sums and one division, the
 same exact formula as the whole-matrix kappa (:mod:`kappasim.agreement`).
-All m orderings are drawn first and then computed in one batch.
+All m orderings are drawn first and then computed in one batch that
+walks them position by position, every ordering at each step.
 
 Determinism contract: the team draw consumes the root stream
 ``default_rng(SeedSequence(seed))``; run r draws its ordering from the
@@ -25,12 +26,10 @@ is built per run: :func:`_child_states` runs SeedSequence's hash (fixed by
 NEP 19) as uint32 array arithmetic for many runs at once, and
 :func:`_pcg64_orderings` runs PCG64 and NumPy's shuffle on the computed
 words as array arithmetic over all runs of a block. Only the team draw
-(and, for few orderings or teams over 64 raters,
-:func:`_numpy_orderings`) seeds NumPy's own PCG64 from the words
-(:func:`_streams`). NumPy is the oracle: a test pins
-every word and every ordering of both routes bitwise to the installed
-NumPy. A spawn key is one 32-bit word, so m (and a variation's team count
-j) must stay below 2**32.
+seeds NumPy's own PCG64 from the words (:func:`_streams`). NumPy is the
+oracle: a test pins every word and every ordering bitwise to the
+installed NumPy. A spawn key is one 32-bit word, so m (and a variation's
+team count j) must stay below 2**32.
 """
 
 from __future__ import annotations
@@ -257,18 +256,6 @@ def _streams(states: np.ndarray) -> Iterator[np.random.Generator]:
         yield np.random.Generator(np.random.PCG64(Words(words)))
 
 
-def _numpy_orderings(states: np.ndarray, k: int) -> np.ndarray:
-    """``Generator.permutation(k)`` on the stream of each (4,) row of
-    :func:`_child_states` words, one new generator per row: (rows, k)."""
-    perms = np.empty((len(states), k), dtype=np.min_scalar_type(k - 1))
-    perms[...] = np.arange(k)
-    # shuffling arange(k) in place is what permutation(k) does, and the
-    # swaps the shuffle draws do not depend on the dtype
-    for row, rng in zip(perms, _streams(states)):
-        rng.shuffle(row)
-    return perms
-
-
 def _u64(value: int) -> np.ndarray:
     # every constant is a uint64 array operand: NumPy 1.x takes uint64 with
     # a Python int to float64, and warns on uint64 scalar overflow
@@ -315,8 +302,9 @@ def _pcg64_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.n
 
 
 def _pcg64_orderings(states: np.ndarray, k: int) -> np.ndarray:
-    """:func:`_numpy_orderings` as array arithmetic over all rows (lanes)
-    at once, every lane on its own stream, bit for bit.
+    """``Generator.permutation(k)`` on the stream of each (4,) row of
+    :func:`_child_states` words, (rows, k), bit for bit: array arithmetic
+    over all rows (lanes) at once, every lane on its own stream.
 
     Seeding follows ``pcg64_set_seed``: state seed ``w0<<64 | w1``,
     increment ``(w2<<64 | w3)<<1 | 1``; from state 0, step, add the seed,
@@ -395,12 +383,14 @@ def _prefix_kappas(codes: np.ndarray, n_categories: int, perms: np.ndarray) -> n
     shape (teams, m, k-1).
 
     ``codes`` stacks the teams' (k, items) label-code grids and
-    ``perms[t]`` holds m orderings of team t's rows. Per team two tables
-    are built once: the Gram matrix G (:func:`_gram`) and the per-rater
-    category totals C[r, :]. For the first n raters of an ordering, S is
-    the sum of G over the leading n x n block, accumulated as each rater's
-    agreements with itself and with the raters before it, and T is the
-    cumulative sum of C. Both stay integers until
+    ``perms[t]`` holds m orderings of team t's rows, in any memory layout.
+    Per team two tables are built once: the Gram matrix G (:func:`_gram`)
+    and the per-rater category totals C[r, :]. The kernel then walks the k
+    positions, each step over all orderings of a chunk at once. When rater
+    r joins the prefix, every rater's agreements with the prefix so far
+    gain row r of G; r's own entry, counted twice less its agreement with
+    itself, moves the pair sum S of the prefix on, and C[r] moves the
+    category totals T on. S and the squared T stay integers until
     :func:`kappasim.agreement._kappa` makes its one division, so the full
     prefix equals the whole-team kappa bitwise, whatever the ordering or
     the batch. Raters (for C), items (for G) and orderings go through in
@@ -423,19 +413,22 @@ def _prefix_kappas(codes: np.ndarray, n_categories: int, perms: np.ndarray) -> n
     gram = _gram(codes, n_categories).reshape(-1, k)
     if n_items * n_items * k**3 >= _FLOAT_EXACT:
         gram, totals, ns = gram.astype(object), totals.astype(object), ns.astype(object)
-    lower = np.tri(k, dtype=bool)
     perms = perms.reshape(-1, k)
     kappas = np.empty((len(perms), k - 1))
-    step = max(1, _BLOCK_BYTES // (8 * k * k))
+    step = max(1, _BLOCK_BYTES // (8 * (8 * k + n_categories)))  # ~8 int64 cells a rater per ordering
     for start in range(0, len(perms), step):
         p = perms[start : start + step]
+        lane = np.arange(len(p))
         # ordering r is team r // m's, whose rows of both tables start at k * (r // m)
         q = p + k * (np.arange(start, start + len(p)) // m)[:, None]
-        T2 = np.square(np.cumsum(totals[q], axis=1)).sum(axis=2)
-        pairs = gram[q[:, :, None], p[:, None, :]]
-        pairs *= lower
-        S = np.cumsum(2 * pairs.sum(axis=2) - n_items, axis=1)
-        del pairs  # the largest temporary: not kept alive into the next block
+        seen = np.zeros((len(p), k), dtype=gram.dtype)  # each rater's agreements with the prefix
+        S, T2 = np.empty_like(seen), np.empty_like(seen)
+        s, T = 0, np.zeros((len(p), n_categories), dtype=totals.dtype)
+        for a in range(k):
+            seen += gram[q[:, a]]
+            S[:, a] = s = s + 2 * seen[lane, p[:, a]] - n_items
+            T += totals[q[:, a]]
+            T2[:, a] = np.square(T).sum(axis=1)
         kappas[start : start + step] = _kappa(S[:, 1:], T2[:, 1:], n_items, ns)[0]
     return kappas.reshape(n_teams, m, k - 1)
 
@@ -447,37 +440,22 @@ def _experiments(
     blocks of teams: yields each block's teams and progressions
     (teams, m, k-1).
 
-    Per block, every ordering is drawn first and one kernel call then
-    computes all the progressions. A block holds as many teams as keep what
-    grows with its teams within ``_BLOCK_BYTES``, and at least one. Per
-    team that is m orderings' progressions (8 bytes a value) and, on the
-    array path, their draw tables (4 bytes a draw, see
+    Per block, every ordering is drawn first, by :func:`_pcg64_orderings`,
+    and one kernel call then computes all the progressions. A block holds
+    as many teams as keep what grows with its teams within
+    ``_BLOCK_BYTES``, and at least one. Per team that is m orderings'
+    progressions (8 bytes a value) and draw tables (4 bytes a draw, see
     :func:`_table_draws`), a k x k int64 Gram matrix and two copies of the
     k x items label grid; the kernel bounds the rest itself.
-
-    One rule, for the whole call, picks how orderings are drawn: by the
-    array path, :func:`_pcg64_orderings`, when k <= 64 and a block sized
-    with the draw tables holds at least 32k orderings (m times its teams,
-    or times ``len(seeds)`` if that is fewer); else by NumPy's own
-    generator per ordering, :func:`_numpy_orderings`. Both give the same
-    orderings. The array path's cost per swap is mostly fixed, so it pays
-    off over many orderings only, and NumPy's shuffle costs less per
-    element at large k. Timed on a 2-vCPU host, the array path overtakes
-    the loop at 28k-31k orderings for k = 45..64 (and sooner for smaller
-    k); at 32k orderings it is 4-13% slower for k = 72..100.
     """
     n_categories = len(matrix.categories)
     codes = matrix.codes.astype(np.min_scalar_type(n_categories - 1))
-    team_bytes = m * 8 * k + 8 * k * k + 2 * codes[:k].nbytes
-    step = max(1, _BLOCK_BYTES // (team_bytes + m * 4 * _table_draws(k)))
-    by_array = k <= 64 and min(step, len(seeds)) * m >= 32 * k
-    if not by_array:
-        step = max(1, _BLOCK_BYTES // team_bytes)
-    draw = _pcg64_orderings if by_array else _numpy_orderings
+    team_bytes = m * (8 * k + 4 * _table_draws(k)) + 8 * k * k + 2 * codes[:k].nbytes
+    step = max(1, _BLOCK_BYTES // team_bytes)
     for first in range(0, len(seeds), step):
         block = seeds[first : first + step]
         teams = [sample_team(matrix, k, rng) for rng in _streams(_child_states(block, None))]
-        perms = draw(_child_states(block, range(1, m + 1)).reshape(-1, 4), k)
+        perms = _pcg64_orderings(_child_states(block, range(1, m + 1)).reshape(-1, 4), k)
         perms = perms.reshape(len(block), m, k)
         team_codes = codes[[matrix.rows(team) for team in teams]]
         yield teams, _prefix_kappas(team_codes, n_categories, perms)

@@ -194,6 +194,24 @@ def test_unreadable_input_is_data_error(tmp_path, capsys, what, kind, reason):
     assert capsys.readouterr().err == f"kappasim: error: {bad}: cannot read {what} file: {reason}\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["synth", "--raters", "3", "--items", "2", "--out"],
+        ["simulate", "--input", "MATRIX", "--k", "3", "--m", "2", "--runs-out"],
+        ["variation", "--input", "MATRIX", "--k", "3", "--m", "2", "--j", "2", "--intervals-out"],
+    ],
+)
+def test_unwritable_output_is_data_error(matrix_file, tmp_path, capsys, argv):
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    argv = [str(matrix_file) if arg == "MATRIX" else arg for arg in argv]
+    assert main([*argv, str(bad)]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"kappasim: error: {bad}: cannot write file: Is a directory"
+    )
+
+
 class TestSimulate:
     def test_writes_runs_and_stats(self, matrix_file, tmp_path, capsys):
         runs = tmp_path / "runs.csv"
@@ -401,6 +419,29 @@ class TestVariation:
         assert main(
             ["variation", "--input", str(matrix_file), "--k", "999", "--m", "2", "--j", "1"]
         ) == 2
+
+
+    def test_refused_cv_leaves_no_table(self, tmp_path, capsys):
+        # every item split 4/4: kappa-hat = -1/7, and a negative mean
+        # agreement gives a negative cv, which the intervals refuse
+        matrix = tmp_path / "split.csv"
+        matrix.write_text(
+            "rater,item,label\n"
+            + "".join(
+                f"r{r},i{i},{('positive', 'negative')[r // 4]}\n"
+                for r in range(8)
+                for i in range(20)
+            ),
+            encoding="utf-8",
+        )
+        table, intervals = tmp_path / "v.csv", tmp_path / "i.csv"
+        code = main(
+            ["variation", "--input", str(matrix), "--k", "7", "--m", "50", "--j", "20",
+             "--out", str(table), "--intervals-out", str(intervals)]
+        )
+        assert code == 2
+        assert "cv must be a finite non-negative number" in capsys.readouterr().err
+        assert not table.exists() and not intervals.exists()
 
 
 class TestIntervals:

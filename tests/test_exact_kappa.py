@@ -110,7 +110,7 @@ def test_batched_rows_equal_single_orderings(grid, m, seed):
 
 def test_twin_runset_rows_equal_single_orderings(twin_matrix, twin_runset):
     # k=45, m=300 spans several default-size blocks of orderings
-    assert len(twin_runset.kappas) > mc._BLOCK_BYTES // (8 * 45 * 45)
+    assert len(twin_runset.kappas) > mc._BLOCK_BYTES // (8 * (8 * 45 + len(twin_matrix.categories)))
     for perm, row in zip(numpy_orderings(42, 45, 300), twin_runset.kappas):
         ordering = [twin_runset.team[p] for p in perm]
         assert np.array_equal(row, ordering_kappas(twin_matrix, ordering))

@@ -3,10 +3,10 @@
 kappasim computes SeedSequence's hash for every (seed, spawn key) pair at
 once. From the resulting words it seeds NumPy's own PCG64 for the team
 draws, and runs PCG64 and NumPy's shuffle as array arithmetic for the
-orderings (or, for few orderings, NumPy's own generator per ordering).
-These tests compare every state word, team draw and ordering with the
-installed NumPy's own SeedSequence and default_rng, and check that the
-stacked prefix kernel gives every team what it gives the team alone.
+orderings. These tests compare every state word, team draw and ordering
+with the installed NumPy's own SeedSequence and default_rng, and check
+that the stacked prefix kernel gives every team what it gives the team
+alone, whatever the layout of the orderings.
 """
 
 import subprocess
@@ -34,7 +34,6 @@ from kappasim.cli import main
 from kappasim.mc import (
     _child_states,
     _experiments,
-    _numpy_orderings,
     _pcg64_orderings,
     _prefix_kappas,
     _streams,
@@ -129,12 +128,12 @@ def shuffled(seed, key, k):
 @example(0, [1, 2, 3], 256)  # the first k with uint16 orderings
 @example(2**200, [MAX_KEY], 257)
 def test_both_routes_draw_numpy_orderings(seed, key_list, k):
+    # the array route against NumPy's own shuffle
     states = _child_states([seed], key_list)[0]
     want = np.stack([shuffled(seed, key, k) for key in key_list])
-    for draw in (_pcg64_orderings, _numpy_orderings):
-        got = draw(states, k)
-        assert got.dtype == np.min_scalar_type(k - 1)
-        assert np.array_equal(got, want)
+    got = _pcg64_orderings(states, k)
+    assert got.dtype == np.min_scalar_type(k - 1)
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("k", [3, 7, 33, 64])
@@ -146,7 +145,7 @@ def test_lanes_that_run_out_draw_again(monkeypatch, k):
     monkeypatch.setattr(mc, "_pcg64_step", steps)
     got = _pcg64_orderings(states, k)
     assert steps.call_count > 1 + -(-mc._table_draws(k) // 2)  # seeding, first table
-    assert np.array_equal(got, _numpy_orderings(states, k))
+    assert np.array_equal(got, [shuffled(11, key, k) for key in range(1, 401)])
 
 
 @pytest.mark.parametrize("items", [100, 1000])
@@ -190,7 +189,7 @@ def test_import_does_not_load_numpy_random():
 @settings(max_examples=40, deadline=None)
 @given(seeds, st.integers(3, 12), st.integers(1, 20))
 @example(2**130, 7, 5)
-@example(2**130, 4, 128)  # 32k orderings: the array path
+@example(2**130, 4, 128)  # 128 lanes drawn at once
 def test_run_experiment_draws_numpy_team_and_orderings(seed, k, m):
     # the orderings are read where the kernel receives them
     with mock.patch.object(mc, "_prefix_kappas", wraps=mc._prefix_kappas) as kernel:
@@ -203,7 +202,7 @@ def test_run_experiment_draws_numpy_team_and_orderings(seed, k, m):
 @settings(max_examples=40, deadline=None)
 @given(seeds, st.integers(3, 12), st.integers(1, 20))
 @example(2**130, 7, 5)
-@example(2**130, 4, 128)  # 32k orderings: the array path
+@example(2**130, 4, 128)  # 128 lanes drawn at once
 def test_run_experiment_rows_are_the_kernel_on_numpy_orderings(seed, k, m):
     rs = run_experiment(SMALL, ExperimentConfig(k=k, m=m, seed=seed))
     team = numpy_team(SMALL, k, seed)
@@ -213,9 +212,9 @@ def test_run_experiment_rows_are_the_kernel_on_numpy_orderings(seed, k, m):
 def test_blocks_of_teams_are_each_seeds_experiment():
     team_seeds = _child_states([4], range(1, 8))[0, :, 0]
     # 2 teams of 9 orderings per block at k=5 over 15 items (per team:
-    # progressions, Gram matrix, two label grids; too few orderings for the
-    # array path and its draw tables): four blocks, the last short
-    team_bytes = 9 * 8 * 5 + 8 * 5 * 5 + 2 * 5 * 15
+    # progressions, draw tables, Gram matrix, two label grids): four
+    # blocks, the last short
+    team_bytes = 9 * (8 * 5 + 4 * mc._table_draws(5)) + 8 * 5 * 5 + 2 * 5 * 15
     with mock.patch.object(mc, "_BLOCK_BYTES", 2 * team_bytes):
         blocks = list(_experiments(SMALL, 5, 9, team_seeds))
     assert [len(teams) for teams, _ in blocks] == [2, 2, 2, 1]
@@ -226,6 +225,28 @@ def test_blocks_of_teams_are_each_seeds_experiment():
         assert teams[t] == alone.team == numpy_team(SMALL, 5, seed)
         assert np.array_equal(kappas[t], alone.kappas)
         assert np.array_equal(kappas[t], kernel_rows(SMALL, teams[t], numpy_orderings(seed, 5, 9)))
+
+
+@pytest.mark.parametrize("j", [None, 3])
+def test_only_team_draws_build_numpy_generators(monkeypatch, j):
+    # every ordering is array arithmetic, also where a NumPy generator per
+    # ordering once drew them (k=45 with m=50 orderings per team)
+    made = []
+    streams = mc._streams
+
+    def counted(states):
+        for rng in streams(states):
+            made.append(rng)
+            yield rng
+
+    monkeypatch.setattr(mc, "_streams", counted)
+    matrix = generate_synthetic(raters=45, items=20, categories=3, noise=0.4, seed=3)
+    if j is None:
+        run_experiment(matrix, ExperimentConfig(k=45, m=50, seed=7))
+        assert len(made) == 1
+    else:
+        run_variation(matrix, VariationConfig(k=45, m=50, j=j, seed=7))
+        assert len(made) == j
 
 
 class TestKeyLimit:
@@ -286,7 +307,7 @@ def test_stacked_kernel_equals_each_team_alone(stack, mode):
         "default": {"_BLOCK_BYTES": mc._BLOCK_BYTES},
         # 3 orderings per block, so blocks straddle teams, and a few items
         # per Gram block
-        "small_blocks": {"_BLOCK_BYTES": 8 * k * k * 3},
+        "small_blocks": {"_BLOCK_BYTES": 8 * (8 * k + n_categories) * 3},
         "python_ints": {"_FLOAT_EXACT": 1},
     }[mode]
     with mock.patch.multiple(mc, **patches):
@@ -295,3 +316,26 @@ def test_stacked_kernel_equals_each_team_alone(stack, mode):
     assert stacked.shape == perms.shape[:2] + (k - 1,)
     assert np.array_equal(stacked, np.stack(alone))
     assert np.array_equal(narrow, stacked)
+
+
+@settings(max_examples=60, deadline=None)
+@given(team_stacks(), st.booleans())
+def test_kernel_rows_do_not_depend_on_the_orderings_layout(stack, python_ints):
+    codes, n_categories, perms = stack
+    k = codes.shape[1]
+    perms = np.ascontiguousarray(perms)
+    layouts = (
+        perms,
+        np.asfortranarray(perms),
+        # a (k, orderings) table seen transposed, as the orderings are drawn
+        np.ascontiguousarray(perms.reshape(-1, k).T).T.reshape(perms.shape),
+    )
+    with mock.patch.object(mc, "_FLOAT_EXACT", 1 if python_ints else mc._FLOAT_EXACT):
+        rows = [_prefix_kappas(codes, n_categories, layout) for layout in layouts]
+        alone = [
+            _prefix_kappas(codes[t : t + 1], n_categories, layouts[2][t : t + 1])[0]
+            for t in range(len(codes))
+        ]
+    for got in rows:
+        assert got.tobytes() == rows[0].tobytes()
+    assert rows[0].tobytes() == np.stack(alone).tobytes()
