@@ -4,7 +4,9 @@ Exit codes: 0 success, 1 usage error, 2 data/validation error, 3 numeric
 failure (under fit --strict: the best curve puts the model pole on the
 edge of the data range). Primary output of each subcommand goes to its
 --out/--stats-out path, or to standard output when the flag is omitted;
-progress and context lines go to standard error.
+progress and context lines go to standard error. A command with two
+outputs checks both paths before it writes either, so an output path
+that cannot be written (exit 2) leaves no file created or truncated.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from typing import Iterable, NoReturn, Sequence
 
 from kappasim import __version__
 from kappasim.corpus import (
+    check_text_dests,
     generate_synthetic,
     load_mapping,
     load_raw,
@@ -104,6 +107,7 @@ def _cmd_preprocess(args: argparse.Namespace) -> int:
     mapping = load_mapping(args.mapping)
     raw = load_raw(args.raw, mapping)
     matrix, report = preprocess(raw)
+    check_text_dests(args.out, args.report)
     write_matrix(matrix, args.out)
     if args.report:
         write_table(args.report, REPORT_HEADER, [dataclasses.astuple(report)])
@@ -160,6 +164,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     k = args.k if args.k is not None else len(matrix.raters)
     run_set = run_experiment(matrix, ExperimentConfig(k=k, m=args.m, seed=args.seed))
     stats = summarize(run_set)
+    check_text_dests(args.runs_out, args.stats_out)
     # kappa-hat/team context would corrupt the stats stream, so it moves to
     # stderr when the stats fall back to stdout.
     info = sys.stdout if args.stats_out else sys.stderr
@@ -181,6 +186,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     points = extract_minima(stats, kappa_hat, stats.ns[-1], include_final=not args.drop_final)
     result = fit(points, args.stage)
     report = fit_report_json(result) if args.json else format_fit_report(result)
+    check_text_dests(args.out, args.minima_out)
     with open_text_dest(args.out) as fh:
         fh.write(report)
     if args.minima_out:
@@ -223,6 +229,7 @@ def _cmd_variation(args: argparse.Namespace) -> int:
     print(f"mean team kappa_hat = {table.mean_team_kappa_hat:.6f}", file=sys.stderr)
     if args.intervals_out:  # first, so a cv the intervals refuse leaves no file written
         rows = _interval_rows(table.dataset_kappa_hat, zip(table.ns, table.cv.tolist()), (1, 2, 3))
+    check_text_dests(args.out, args.intervals_out)
     write_variation(table, args.out)
     if args.intervals_out:
         write_intervals(rows, args.intervals_out)

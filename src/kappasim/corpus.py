@@ -8,8 +8,10 @@ categorical sentiment labels.
 from __future__ import annotations
 
 import csv
+import errno
 import io
 import itertools
+import os
 import sys
 import typing
 import warnings
@@ -21,6 +23,7 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from kappasim.errors import DataError
 
@@ -45,6 +48,27 @@ def open_text_dest(dest: str | Path | TextIO | None) -> Iterator[TextIO]:
             raise DataError(f"{dest}: cannot write file: {exc.strerror}") from None
         with fh:
             yield fh
+
+
+def check_text_dests(*dests: str | Path | TextIO | None) -> None:
+    """Raise the :class:`DataError` that :func:`open_text_dest` would raise
+    for the first of ``dests`` that cannot be opened for writing, creating
+    and truncating no file: an existing file is opened without truncation,
+    and a new file's directory must exist and be writable. A command with
+    several outputs calls this before it writes any of them."""
+    for dest in dests:
+        if dest is None or hasattr(dest, "write"):
+            continue
+        try:
+            if os.path.isdir(dest) or os.path.isfile(dest):
+                os.close(os.open(dest, os.O_WRONLY))
+            elif not os.path.lexists(dest):
+                parent = os.path.join(os.path.dirname(dest) or ".", "")
+                os.stat(parent)  # the trailing separator: a file there is "Not a directory"
+                if not os.access(parent, os.W_OK | os.X_OK):
+                    raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+        except OSError as exc:
+            raise DataError(f"{dest}: cannot write file: {exc.strerror}") from None
 
 
 @contextmanager
@@ -153,14 +177,20 @@ def read_columns(
 
     A broken rule raises :class:`DataError` naming the file; for a bad
     row, the error names the first malformed line, and so does a cell
-    longer than ``csv.field_size_limit()``. A table whose kinds are all
-    numeric (runs, stats, minima, variation) takes one NumPy pass, and any
-    other (the matrix) a pass that splits the text at ``\\n`` and commas.
-    A file either pass refuses goes through the csv reader, by the same
-    rules: the set of accepted files is the same.
+    longer than ``csv.field_size_limit()``.
+
+    A table whose kinds are all numeric (runs, stats, minima, variation)
+    takes one NumPy pass. Any other (the matrix) takes a byte pass, a
+    block of bytes at a time: NumPy finds each block's field ends and
+    numbers its cells with ``np.unique``, by 8-byte keys (or a wider
+    fixed-width view of the same cells), and only the block's distinct
+    keys are decoded and merged into the dicts. Each sort covers one
+    bounded block, so the read stays linear in the file's size. A file
+    either pass refuses goes through the csv reader, by the same rules:
+    the set of accepted files and every error message are the same.
     """
     path = Path(path)
-    fast = _read_numeric if all(isinstance(kind, str) for kind in kinds) else _read_split
+    fast = _read_numeric if all(isinstance(kind, str) for kind in kinds) else _read_bytes
     with open_text_source(path, what) as fh:
         try:  # on any fault the csv reader decides, and names it
             line = fh.readline()  # one longer than the field limit is the csv reader's error
@@ -201,39 +231,95 @@ def _read_numeric(fh: TextIO, kinds: Sequence[str]) -> list[np.ndarray] | None:
     return columns if ok else None
 
 
-_BLOCK_CHARS = 16 * 1024  # text split at a time: one block's strings are alive at once
+_BLOCK_BYTES = 64 * 1024  # bytes read at a time: one block's arrays are alive at once
+_GRID_BYTES = 16 * _BLOCK_BYTES  # the most a block's column of wide cells may take as S{w}
+# _KEY_MASKS[n] keeps the first n bytes of a little-endian 8-byte word
+_KEY_MASKS = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
 
 
-def _read_split(fh: TextIO, kinds: Sequence[str | dict[str, int]]) -> list[np.ndarray] | None:
-    """:func:`read_columns`' split pass over ``fh`` after its header line, a
-    block of text at a time, or None on a ``"``, ``\\r`` or NUL (the csv
-    reader quotes, ends lines or, before Python 3.11, fails there), a line
-    longer than the csv field limit, a line with a wrong field count or no
-    data rows. Lines end at ``\\n`` only, as for the csv reader
-    (``str.splitlines`` also ends them at ``\\x0b``, ``\\x85``, ...)."""
-    commas, limit = len(kinds) - 1, csv.field_size_limit()
+def _read_bytes(fh: TextIO, kinds: Sequence[str | dict[str, int]]) -> list[np.ndarray] | None:
+    """:func:`read_columns`' byte pass over the body of the file ``fh`` is
+    open on, after its header line: the file is read in binary, a block of
+    bytes at a time, each block cut after its last ``\\n``. None on a
+    ``"``, ``\\r`` or NUL (the csv reader quotes, ends lines or, before
+    Python 3.11, fails there), a line of more bytes than the csv field
+    limit, a line with a wrong field count, bytes that are not UTF-8, a
+    column of wide cells over ``_GRID_BYTES`` in a block, or no data rows.
+    Lines end at ``\\n`` only, as for the csv reader."""
+    raw = fh.buffer
+    raw.seek(0)
+    if b"\r" in raw.readline():  # the text header ended at a \r, not at this \n
+        return None
+    limit = csv.field_size_limit()
     chunks: list[list[np.ndarray]] = [[] for _ in kinds]
-    tail = ""  # a line cut at the end of the last block
+    tail = b""  # a line cut at the end of the last block
     while True:
-        block = fh.read(_BLOCK_CHARS)
-        text = tail + block
-        if any(c in text for c in '"\r\0'):
+        data = raw.read(_BLOCK_BYTES)
+        text = tail + (data or b"\n")  # a last line with no \n ends at the end of the file
+        cut = text.rfind(b"\n") + 1
+        tail = text[cut:]
+        if len(tail) > limit or any(c in text for c in (b'"', b"\r", b"\0")):
             return None
-        lines = text.split("\n")
-        tail = lines.pop() if block else ""
-        if len(tail) > limit:
+        if cut and not _block_columns(text, cut, kinds, chunks, limit):
             return None
-        if rows := list(filter(None, lines)):  # a blank line is no row
-            if len(text) > limit and max(map(len, rows)) > limit:
-                return None
-            if set(map(str.count, rows, itertools.repeat(","))) != {commas}:
-                return None
-            cells = ",".join(rows).split(",")
-            for j, (kind, column) in enumerate(zip(kinds, chunks)):
-                column.append(_column(kind, cells[j :: len(kinds)]))
-        if not block:
+        if not data:
             break
     return _joined(chunks) if chunks[0] else None
+
+
+def _block_columns(
+    text: bytes, size: int, kinds: Sequence[dict[str, int]], chunks: list[list[np.ndarray]],
+    limit: int,
+) -> bool:
+    """Number the cells of ``text[:size]``, whole lines, into each kind's
+    dict and append each column's int32 chunk; False on a line of more
+    than ``limit`` bytes, a wrong field count or too wide a grid. A block
+    of blank lines appends nothing."""
+    width = len(kinds)
+    body = np.frombuffer(text, np.uint8, size)
+    ends = np.flatnonzero((body == ord(",")) | (body == ord("\n")))  # where each field ends
+    starts = np.empty_like(ends)
+    starts[0], starts[1:] = 0, ends[:-1] + 1
+    last = np.flatnonzero(body[ends] == ord("\n"))  # each line's last field
+    fields = np.diff(last, prepend=-1)
+    if size > limit and (ends[last] - starts[last - fields + 1]).max() > limit:
+        return False
+    blank = (fields == 1) & (ends[last] == starts[last])  # a blank line is no row
+    if not ((fields == width) | blank).all():
+        return False
+    if blank.any():
+        keep = np.ones(len(ends), dtype=bool)
+        keep[last[blank]] = False
+        starts, ends = starts[keep], ends[keep]
+    if not len(starts):
+        return True
+    starts, lengths = starts.reshape(-1, width), (ends - starts).reshape(-1, width)
+    wide = max(8, int(lengths.max()))
+    padded = np.zeros(-(-(size + wide) // 8) * 8, dtype=np.uint8)  # a window past any cell
+    padded[:size] = body
+    # words[i] is the 8 bytes from byte i on, as one little-endian uint64
+    words = as_strided(padded.view("<u8"), (size,), (1,), writeable=False)
+    for j, (kind, column) in enumerate(zip(kinds, chunks)):
+        at, n = starts[:, j], lengths[:, j]
+        w = int(n.max())
+        if w <= 8:
+            # masked to the cell's length; with NUL refused, no two cells share a key
+            keys = words[at] & _KEY_MASKS[n]
+        elif len(at) * w > _GRID_BYTES:
+            return False
+        else:  # the same window, w bytes wide, with the bytes past each cell cleared
+            grid = as_strided(padded, (size, w), (1, 1), writeable=False)[at]
+            grid[np.arange(w) >= n[:, None]] = 0
+            keys = grid.view(f"S{w}").ravel()
+        distinct, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        order = np.argsort(first)  # the block's distinct cells, by first appearance
+        # each key's bytes in file order, as bytes without their trailing NULs: the cells
+        names = distinct[order].astype(distinct.dtype.newbyteorder("<"))
+        names = names.view(f"S{distinct.itemsize}").tolist()
+        codes = np.empty(len(first), dtype=np.int32)
+        codes[order] = [kind.setdefault(name, len(kind)) for name in map(bytes.decode, names)]
+        column.append(codes[inverse])
+    return True
 
 
 @contextmanager

@@ -212,6 +212,58 @@ def test_unwritable_output_is_data_error(matrix_file, tmp_path, capsys, argv):
     )
 
 
+# For each command with two outputs: its command line, given the inputs,
+# up to its two output flags, and those flags in the order they are written.
+TWO_OUTPUTS = {
+    "preprocess": (lambda inputs: ["preprocess", "--raw", inputs["raw"], "--mapping",
+                                   inputs["cfg"]], ("--out", "--report")),
+    "simulate": (lambda inputs: ["simulate", "--input", inputs["matrix"], "--k", "3", "--m",
+                                 "2"], ("--runs-out", "--stats-out")),
+    "fit": (lambda inputs: ["fit", "--runs", inputs["runs"]], ("--out", "--minima-out")),
+    "variation": (lambda inputs: ["variation", "--input", inputs["matrix"], "--k", "3", "--m",
+                                  "2", "--j", "2"], ("--out", "--intervals-out")),
+}
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new first output", "existing first output"])
+@pytest.mark.parametrize("command", sorted(TWO_OUTPUTS))
+def test_an_unwritable_second_output_leaves_the_first_untouched(
+    command, existing, matrix_file, experiment_files, tmp_path, capsys
+):
+    raw, cfg = tmp_path / "raw.csv", tmp_path / "mapping.cfg"
+    raw.write_text(RAW, encoding="utf-8")
+    cfg.write_text(MAPPING, encoding="utf-8")
+    inputs = {"raw": str(raw), "cfg": str(cfg), "matrix": str(matrix_file),
+              "runs": str(experiment_files[0])}
+    argv, (first_flag, second_flag) = TWO_OUTPUTS[command]
+    first, bad = tmp_path / "first.csv", tmp_path / "bad"
+    bad.mkdir()
+    if existing:
+        first.write_text("kept\n", encoding="utf-8")
+    assert main([*argv(inputs), first_flag, str(first), second_flag, str(bad)]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"kappasim: error: {bad}: cannot write file: Is a directory"
+    )
+    if existing:
+        assert first.read_text(encoding="utf-8") == "kept\n"
+    else:
+        assert not first.exists()
+
+
+@pytest.mark.parametrize("where", ["missing directory", "file as directory"])
+def test_a_new_output_in_no_directory_is_named(matrix_file, tmp_path, capsys, where):
+    parent = tmp_path / "parent"
+    if where == "file as directory":
+        parent.write_text("", encoding="utf-8")
+    runs, stats = tmp_path / "runs.csv", parent / "stats.csv"
+    argv = ["simulate", "--input", str(matrix_file), "--k", "3", "--m", "2",
+            "--runs-out", str(runs), "--stats-out", str(stats)]
+    assert main(argv) == 2
+    reason = "No such file or directory" if where == "missing directory" else "Not a directory"
+    assert capsys.readouterr().err == f"kappasim: error: {stats}: cannot write file: {reason}\n"
+    assert not runs.exists()
+
+
 class TestSimulate:
     def test_writes_runs_and_stats(self, matrix_file, tmp_path, capsys):
         runs = tmp_path / "runs.csv"

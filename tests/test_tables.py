@@ -45,7 +45,7 @@ from kappasim import (
 )
 from kappasim.cli import main
 from kappasim.corpus import (
-    _BLOCK_CHARS,
+    _BLOCK_BYTES,
     MATRIX_HEADER,
     _read_csv,
     _row_error,
@@ -441,30 +441,56 @@ HAZARD_IDS = [
     ",", '"', 'a"b', "\r", "\r\n", "a\nb", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
     "\u2028", "\u2029", "\x00", "a\x00", " a", "a ", " ", "", "x" * 140_000,
 ]
-plain_ids = st.sampled_from(["a", "b", "p1", "s1", "s2", "\u00e9", "\ufeffa"])
+# Ids the byte pass keys differently: 8 bytes (one whole uint64 key), 9 or
+# more (a wide cell), a shared 8-byte prefix, the empty id, and multi-byte
+# UTF-8 (one cut by the 8-byte window: "a" then four 2-byte characters).
+plain_ids = st.sampled_from([
+    "a", "b", "p1", "s1", "s2", "\u00e9", "\ufeffa", "", "abcdefgh", "abcdefghi", "abcdefghj",
+    "abcdefgh" * 3, "\u00e9" * 4, "a" + "\u00e9" * 4, "\u65e5\u672c", "\U0001f600" * 3,
+])
 matrix_ids = plain_ids | st.sampled_from(HAZARD_IDS)
 matrix_labels = st.sampled_from([*SENTIMENT_CATEGORIES, "Positive", "NEUTRAL", "other"])
 # csv ends a line only at \r and \n; str.splitlines also at these
 splitlines_only = st.sampled_from(
     ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 )
+# filler rows take about 18 bytes each: this many fill more than two blocks
+FILLER_ROWS = _BLOCK_BYTES // 8
+
+
+def filler_rows(count):
+    return [f"f{i % 700},s{i // 700},positive" for i in range(count)]
+
+
+def blank_at_a_block_start(data):
+    """``data`` with blank lines ending the byte pass's first block, so that
+    the second block starts with a blank line. The pass reads blocks of
+    ``_BLOCK_BYTES`` from the end of the header's first ``\\n`` on; the
+    blank lines go in at the last line start before the second block's."""
+    second = data.index(b"\n") + 1 + _BLOCK_BYTES  # where the second block's bytes start
+    if second >= len(data):
+        return data
+    at = data.rfind(b"\n", 0, second) + 1
+    return data[:at] + b"\n" * (second - at + 1) + data[at:]
 
 
 @st.composite
 def matrix_files(draw):
     """A matrix file: rows of plain ids under kappasim's own header, some
-    past the first block, with hazards mixed in (a hazardous id or label,
+    past the first blocks, with hazards mixed in (a hazardous id or label,
     a missing or extra field, a blank or whitespace-only line, a duplicate
     cell, a spaced, quoted, padded or wrong header, ``\\r\\n`` and lone
     ``\\r`` line ends, two rows joined by a character that ends a line
-    only for ``str.splitlines``, a BOM, a byte that is not UTF-8)."""
+    only for ``str.splitlines``, a BOM, a blank line at a block start, a
+    byte that is not UTF-8, anywhere or in a later block)."""
     head = draw(st.sampled_from([
         "rater,item,label", "rater,item,label", " rater , item , label ", '"rater",item,label',
         "rater,item,label" + " " * 140_000, "rater,item", "rater,item,label,extra", "",
     ]))
     lines = [head]
-    filler = draw(st.sampled_from([0, 0, 0, 2000]))  # 2000 rows span two 16 KB blocks
-    lines += [f"f{i % 700},s{i // 700},positive" for i in range(filler)]
+    filler = draw(st.sampled_from([0, 0, 0, FILLER_ROWS]))
+    if filler:  # one entry, so that it draws one line end
+        lines.append("\n".join(filler_rows(filler)))
     for _ in range(draw(st.integers(0, 6))):
         row = [draw(plain_ids), draw(plain_ids), draw(st.sampled_from(SENTIMENT_CATEGORIES))]
         hazard = draw(st.integers(0, 10))  # 0-5 keep the row plain
@@ -486,15 +512,21 @@ def matrix_files(draw):
     if draw(st.booleans()):
         text = text[: -len(ends[-1])]  # no line end after the last line
     data = (("\ufeff" if draw(st.booleans()) else "") + text).encode("utf-8")
-    if draw(st.integers(0, 9)) == 0:  # a byte that is not UTF-8
+    if filler and draw(st.booleans()):
+        data = blank_at_a_block_start(data)
+    bad_byte = draw(st.integers(0, 9))
+    if bad_byte == 0:  # a byte that is not UTF-8
         cut = draw(st.integers(0, len(data)))
+        data = data[:cut] + b"\xff" + data[cut:]
+    elif bad_byte == 1 and filler:  # past two blocks whose ids the pass has numbered
+        cut = draw(st.integers(2 * _BLOCK_BYTES, len(data)))
         data = data[:cut] + b"\xff" + data[cut:]
     return data
 
 
 @settings(max_examples=300, deadline=None)
 @given(matrix_files())
-def test_split_pass_matches_the_csv_reader(scratch, data):
+def test_byte_pass_matches_the_csv_reader(scratch, data):
     path = scratch / "matrix.csv"
     path.write_bytes(data)
 
@@ -522,23 +554,24 @@ def test_split_pass_matches_the_csv_reader(scratch, data):
         codes = [np.array([n.index(c) for c in column], dtype=np.int64)
                  for n, column in zip(names, zip(*rows))]
         assert got == ([(c.dtype, c.shape, c.tobytes()) for c in codes], names)
-    split = matrix()
-    with mock.patch("kappasim.corpus._read_split", return_value=None):
-        assert split == matrix()
+    by_bytes = matrix()
+    with mock.patch("kappasim.corpus._read_bytes", return_value=None):
+        assert by_bytes == matrix()
 
 
-def test_own_matrix_takes_the_split_pass(tmp_path, monkeypatch):
+def test_own_matrix_takes_the_byte_pass(tmp_path, monkeypatch):
     matrix = generate_synthetic(40, 500, noise=0.5, seed=2)  # 20,000 rows: many blocks
     path = tmp_path / "matrix.csv"
     write_matrix(matrix, path)
+    assert path.stat().st_size > 4 * _BLOCK_BYTES
     monkeypatch.setattr("kappasim.corpus._read_csv", None)  # any call would fail
     assert read_matrix(path) == matrix
 
 
 def test_a_fault_in_a_later_block_leaves_the_dicts_to_the_csv_reader(tmp_path, monkeypatch):
-    # the split pass numbers the first block's ids, then meets a quote
-    lines = [f"r{i % 50},s{i // 50},positive" for i in range(3000)]
-    assert len("\n".join(lines)) > _BLOCK_CHARS
+    # the byte pass numbers the first blocks' ids, then meets a quote
+    lines = filler_rows(FILLER_ROWS)
+    assert len("\n".join(lines)) > 2 * _BLOCK_BYTES
     path = write_lines(tmp_path / "matrix.csv", ["rater,item,label", *lines, '"z",s0,neutral'])
     want_kinds = ({}, {}, {})
     want = _read_csv(path, MATRIX_HEADER, "matrix", want_kinds)
@@ -554,6 +587,14 @@ def test_a_fault_in_a_later_block_leaves_the_dicts_to_the_csv_reader(tmp_path, m
     assert sizes == [[0, 0, 0]]  # the csv reader starts from empty dicts
     assert [list(k) for k in kinds] == [list(k) for k in want_kinds]
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_a_byte_that_is_not_utf8_in_a_later_block_is_the_csv_readers_error(tmp_path):
+    text = "\n".join(["rater,item,label", *filler_rows(FILLER_ROWS), ""]).encode("utf-8")
+    path = tmp_path / "matrix.csv"
+    path.write_bytes(text + b"z\xff,s0,neutral\n")
+    with pytest.raises(DataError, match=re.escape(f"{path}: cannot read matrix file: not UTF-8")):
+        read_matrix(path)
 
 
 @settings(max_examples=200, deadline=None)
@@ -597,7 +638,7 @@ def test_write_matrix_memory_does_not_grow_with_raters(tmp_path):
 def test_read_matrix_memory_is_bounded_by_its_columns(tmp_path):
     # The three int64 columns take 24 bytes a cell. Splitting the whole
     # file at once would hold a str object per line and per cell, over
-    # 200 bytes a cell; the split pass holds one 16 KB block of them.
+    # 200 bytes a cell; the byte pass holds one 64 KB block's arrays.
     matrix = generate_synthetic(1_000, 100, noise=0.5, seed=3)
     path = tmp_path / "matrix.csv"
     write_matrix(matrix, path)
