@@ -237,7 +237,7 @@ _GRID_BYTES = 16 * _BLOCK_BYTES  # the most a block's column of wide cells may t
 _KEY_MASKS = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
 
 
-def _read_bytes(fh: TextIO, kinds: Sequence[str | dict[str, int]]) -> list[np.ndarray] | None:
+def _read_bytes(fh: TextIO, kinds: Sequence[dict[str, int]]) -> list[np.ndarray] | None:
     """:func:`read_columns`' byte pass over the body of the file ``fh`` is
     open on, after its header line: the file is read in binary, a block of
     bytes at a time, each block cut after its last ``\\n``. None on a
