@@ -589,6 +589,25 @@ def test_a_fault_in_a_later_block_leaves_the_dicts_to_the_csv_reader(tmp_path, m
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
+def test_a_column_too_wide_for_its_block_goes_to_the_csv_reader(tmp_path, monkeypatch):
+    # one 2,000-byte rater id among a block's short ones: its S{w} grid would
+    # take rows x 2,000 bytes, over _GRID_BYTES, so the csv reader decides
+    matrix = generate_synthetic(400, 10, noise=0.5, seed=4)
+    wide = AnnotationMatrix(("w" * 2_000, *matrix.raters[1:]), matrix.items,
+                            matrix.categories, matrix.codes)
+    path = tmp_path / "matrix.csv"
+    write_matrix(wide, path)
+    calls = []
+
+    def csv_reader(*args):
+        calls.append(args[0])
+        return _read_csv(*args)
+
+    monkeypatch.setattr("kappasim.corpus._read_csv", csv_reader)
+    assert read_matrix(path) == wide
+    assert calls == [path]
+
+
 def test_a_byte_that_is_not_utf8_in_a_later_block_is_the_csv_readers_error(tmp_path):
     text = "\n".join(["rater,item,label", *filler_rows(FILLER_ROWS), ""]).encode("utf-8")
     path = tmp_path / "matrix.csv"
