@@ -23,7 +23,6 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from kappasim.errors import DataError
 
@@ -297,8 +296,10 @@ def _block_columns(
     wide = max(8, int(lengths.max()))
     padded = np.zeros(-(-(size + wide) // 8) * 8, dtype=np.uint8)  # a window past any cell
     padded[:size] = body
-    # words[i] is the 8 bytes from byte i on, as one little-endian uint64
-    words = as_strided(padded.view("<u8"), (size,), (1,), writeable=False)
+    # words[i] is the 8 bytes from byte i on, as one little-endian uint64: a
+    # strided view built by ndarray itself (as_strided goes through
+    # __array_interface__, which NumPy 2.4 leaks about 48 bytes a call on)
+    words = np.ndarray((size,), "<u8", padded, 0, (1,))
     for j, (kind, column) in enumerate(zip(kinds, chunks)):
         at, n = starts[:, j], lengths[:, j]
         w = int(n.max())
@@ -308,7 +309,7 @@ def _block_columns(
         elif len(at) * w > _GRID_BYTES:
             return False
         else:  # the same window, w bytes wide, with the bytes past each cell cleared
-            grid = as_strided(padded, (size, w), (1, 1), writeable=False)[at]
+            grid = np.ndarray((size, w), np.uint8, padded, 0, (1, 1))[at]
             grid[np.arange(w) >= n[:, None]] = 0
             keys = grid.view(f"S{w}").ravel()
         distinct, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
