@@ -99,7 +99,8 @@ def run_variation(matrix: AnnotationMatrix, config: VariationConfig) -> Variatio
     (matrix, config). These are NumPy's SeedSequence -> PCG64 streams,
     computed with array arithmetic for many teams and orderings at once
     (see :mod:`kappasim.mc`). Teams go through in blocks, each block's
-    root words, orderings and progressions computed in turn: memory is a
+    root words, orderings, progressions and per-team moments (one
+    :func:`kappasim.mc.column_moments` call) computed in turn: memory is a
     few ``_BLOCK_BYTES`` blocks plus the team seeds and kappa-hats, about
     60 bytes a team. A spawn key is one 32-bit word, so j and m stay below
     2**32. The fold update at t=1 reduces to mu_1 and sigma_1 exactly.
@@ -113,13 +114,13 @@ def run_variation(matrix: AnnotationMatrix, config: VariationConfig) -> Variatio
     mu_bar = np.zeros(len(ns))
     sigma_bar = np.zeros(len(ns))
     team_kappa_hats: list[float] = []
+    t = 0
     for _, kappas in _experiments(matrix, config.k, config.m, team_seeds):
-        for table in kappas:
-            t = len(team_kappa_hats) + 1
-            mu_t, sigma_t = column_moments(table)
+        for mu_t, sigma_t in zip(*column_moments(kappas)):
+            t += 1
             mu_bar = ((t - 1) * mu_bar + mu_t) / t
             sigma_bar = ((t - 1) * sigma_bar + sigma_t) / t
-            team_kappa_hats.append(float(table[0, -1]))
+        team_kappa_hats.extend(kappas[:, 0, -1].tolist())
     cv = np.full(len(ns), math.nan)
     live = np.abs(mu_bar) > _MU_EPS
     cv[live] = sigma_bar[live] / mu_bar[live]

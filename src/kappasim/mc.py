@@ -13,8 +13,11 @@ The prefix values come from the team's rater x rater agreement counts
 (Gram matrix) and per-rater category totals, tabulated once per team:
 each prefix is a pair of integer running sums and one division, the
 same exact formula as the whole-matrix kappa (:mod:`kappasim.agreement`).
-All m orderings are drawn first and then computed in one batch that
-walks them position by position, every ordering at each step.
+All m orderings are drawn first and then computed in one batch: for small
+teams with many orderings from a table over the team's 2**k rater
+subsets, looked up by each prefix's bit mask, otherwise by walking the
+orderings position by position, every ordering at each step
+(:func:`_prefix_kappas` states the rule).
 
 Determinism contract: the team draw consumes the root stream
 ``default_rng(SeedSequence(seed))``; run r draws its ordering from the
@@ -378,29 +381,12 @@ def _gram(codes: np.ndarray, n_categories: int) -> np.ndarray:
     return gram
 
 
-def _prefix_kappas(codes: np.ndarray, n_categories: int, perms: np.ndarray) -> np.ndarray:
-    """kappa_2..kappa_k of every prefix of every ordering of every team,
-    shape (teams, m, k-1).
-
-    ``codes`` stacks the teams' (k, items) label-code grids and
-    ``perms[t]`` holds m orderings of team t's rows, in any memory layout.
-    Per team two tables are built once: the Gram matrix G (:func:`_gram`)
-    and the per-rater category totals C[r, :]. The kernel then walks the k
-    positions, each step over all orderings of a chunk at once. When rater
-    r joins the prefix, every rater's agreements with the prefix so far
-    gain row r of G; r's own entry, counted twice less its agreement with
-    itself, moves the pair sum S of the prefix on, and C[r] moves the
-    category totals T on. S and the squared T stay integers until
-    :func:`kappasim.agreement._kappa` makes its one division, so the full
-    prefix equals the whole-team kappa bitwise, whatever the ordering or
-    the batch. Raters (for C), items (for G) and orderings go through in
-    blocks of about ``_BLOCK_BYTES``; the Gram matrices and label grids
-    grow with the teams in one call, which callers keep bounded
-    (:func:`_experiments`).
-    """
+def _team_tables(codes: np.ndarray, n_categories: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each team's Gram matrix (:func:`_gram`), (teams, k, k), and per-rater
+    category totals, (teams, k, categories), from a (teams, k, items)
+    label-code grid: int64, or Python ints (object) where a prefix kappa's
+    numerator and denominator could reach ``_FLOAT_EXACT``."""
     n_teams, k, n_items = codes.shape
-    m = perms.shape[1]
-    ns = np.arange(2, k + 1)
     rows = codes.reshape(-1, n_items)
     totals = np.empty((len(rows), n_categories), dtype=np.int64)
     step = max(1, _BLOCK_BYTES // (8 * n_items))  # rows of int64 cells at a time
@@ -409,10 +395,87 @@ def _prefix_kappas(codes: np.ndarray, n_categories: int, perms: np.ndarray) -> n
         cells = np.arange(len(chunk))[:, None] * n_categories + chunk
         counts = np.bincount(cells.ravel(), minlength=len(chunk) * n_categories)
         totals[start : start + step] = counts.reshape(-1, n_categories)
-    del cells, counts  # not kept alive through the orderings below
-    gram = _gram(codes, n_categories).reshape(-1, k)
+    del cells, counts  # not kept alive through the Gram matrices
+    gram = _gram(codes, n_categories)
+    totals = totals.reshape(n_teams, k, n_categories)
     if n_items * n_items * k**3 >= _FLOAT_EXACT:
-        gram, totals, ns = gram.astype(object), totals.astype(object), ns.astype(object)
+        return gram.astype(object), totals.astype(object)
+    return gram, totals
+
+
+def _subset_bytes(k: int, n_categories: int) -> int:
+    """Peak bytes of :func:`_subset_kappas`' temporaries per team: about
+    k/2 + C + 6 int64 cells a subset (tracemalloc, k = 11). While the table
+    doubles they are the row sums of half of the subsets, the category
+    totals, S, T2, the rater counts and the sums in flight; the division
+    then holds about nine cells besides S, T2 and the counts."""
+    return 8 * (k // 2 + n_categories + 6) << k
+
+
+def _takes_table(k: int, m: int, n_categories: int) -> bool:
+    """Whether :func:`_prefix_kappas` takes the subset table for teams of
+    k raters with m orderings each: when the orderings hold at least twice
+    as many prefixes as a team has subsets, 2**k <= m*(k-1)/2, and one
+    team's table fits ``_BLOCK_BYTES``."""
+    return (1 << k) <= m * (k - 1) // 2 and _subset_bytes(k, n_categories) <= _BLOCK_BYTES
+
+
+def _prefix_kappas(codes: np.ndarray, n_categories: int, perms: np.ndarray) -> np.ndarray:
+    """kappa_2..kappa_k of every prefix of every ordering of every team,
+    shape (teams, m, k-1).
+
+    ``codes`` stacks the teams' (k, items) label-code grids and
+    ``perms[t]`` holds m orderings of team t's rows, in any memory layout
+    and any integer type. Per team two tables are built once: the Gram
+    matrix G (:func:`_gram`) and the per-rater category totals C. A
+    prefix's kappa is then a pair of integers, its pair sum S (the sum of
+    G over the prefix's ordered pairs, self-pairs included) and the sum T2
+    of its squared category totals, divided once by
+    :func:`kappasim.agreement._kappa`, so the full prefix equals the
+    whole-team kappa bitwise, whatever the ordering or the batch. Two
+    routes reach the same integers and make the same division, so they
+    agree bitwise:
+
+    - :func:`_subset_kappas` tabulates every one of a team's 2**k rater
+      subsets once and looks each prefix up;
+    - :func:`_walk_kappas` walks the k positions of all orderings at once.
+
+    The rule (:func:`_takes_table`) takes the table when a team's m
+    orderings hold at least twice as many prefixes as it has subsets,
+    2**k <= m*(k-1)/2, and one team's table fits ``_BLOCK_BYTES``; large
+    teams walk (2**45 subsets cannot be tabulated). Measured on the
+    45 x 100 cohort (three categories, 18 teams, NumPy 2.4.6, medians of
+    15 calls in two processes), as the table's time over the walk's: 0.41x
+    at k = 7, m = 100 and 0.55x at k = 8, m = 100; 0.74-0.85x at k = 9,
+    m = 100; 1.6x at k = 10, m = 100. The two break even near
+    2**k = m*(k-1) (0.97-1.10x at k = 5, m = 8; k = 7, m = 22; k = 9,
+    m = 70; k = 10, m = 120), so the rule takes the table only where it
+    wins clearly. At k = 11, m = 1000 (2 teams) the table is 0.30x; from
+    k = 12 on, with three categories, one team's table outgrows the
+    budget.
+    """
+    k, m = codes.shape[1], perms.shape[1]
+    route = _subset_kappas if _takes_table(k, m, n_categories) else _walk_kappas
+    return route(codes, n_categories, perms)
+
+
+def _walk_kappas(codes: np.ndarray, n_categories: int, perms: np.ndarray) -> np.ndarray:
+    """:func:`_prefix_kappas` by walking the k positions, each step over
+    all orderings of a chunk at once.
+
+    When rater r joins the prefix, every rater's agreements with the
+    prefix so far gain row r of G; r's own entry, counted twice less its
+    agreement with itself, moves the pair sum S of the prefix on, and C[r]
+    moves the category totals T on. Raters (for C), items (for G) and
+    orderings go through in blocks of about ``_BLOCK_BYTES``; the Gram
+    matrices and label grids grow with the teams in one call, which
+    callers keep bounded (:func:`_experiments`).
+    """
+    n_teams, k, n_items = codes.shape
+    m = perms.shape[1]
+    gram, totals = _team_tables(codes, n_categories)
+    gram, totals = gram.reshape(-1, k), totals.reshape(-1, n_categories)
+    ns = np.arange(2, k + 1).astype(gram.dtype)
     perms = perms.reshape(-1, k)
     kappas = np.empty((len(perms), k - 1))
     step = max(1, _BLOCK_BYTES // (8 * (8 * k + n_categories)))  # ~8 int64 cells a rater per ordering
@@ -433,6 +496,66 @@ def _prefix_kappas(codes: np.ndarray, n_categories: int, perms: np.ndarray) -> n
     return kappas.reshape(n_teams, m, k - 1)
 
 
+def _subset_terms(gram: np.ndarray, totals: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The pair sum S and squared category totals T2 of every rater subset
+    of each team, (teams, 2**k) each, and the subsets' rater counts,
+    (2**k,), indexed by the bit mask of the subset's raters.
+
+    The table doubles one rater at a time: adding rater r to a subset of
+    raters below r moves its category totals on by C[r] and its pair sum
+    on by twice its row sums' entry r plus G[r, r].
+    """
+    n_teams, k, n_categories = totals.shape
+    size = 1 << k
+    sums = np.zeros((n_teams, size // 2, k), dtype=gram.dtype)  # Σ G[s] over a subset's raters s
+    T = np.zeros((n_teams, size, n_categories), dtype=totals.dtype)
+    S = np.zeros((n_teams, size), dtype=gram.dtype)
+    ns = np.zeros(size, dtype=gram.dtype)
+    for r in range(k):
+        lo, hi = 1 << r, 2 << r  # the subsets whose highest rater is r
+        S[:, lo:hi] = S[:, :lo] + 2 * sums[:, :lo, r] + gram[:, r, r, None]
+        np.add(T[:, :lo], totals[:, None, r], out=T[:, lo:hi])
+        ns[lo:hi] = ns[:lo] + 1
+        if r < k - 1:
+            np.add(sums[:, :lo], gram[:, None, r], out=sums[:, lo:hi])
+    return S, np.square(T, out=T).sum(axis=2), ns
+
+
+def _subset_kappas(codes: np.ndarray, n_categories: int, perms: np.ndarray) -> np.ndarray:
+    """:func:`_prefix_kappas` from a table over each team's 2**k rater
+    subsets (:func:`_subset_terms`).
+
+    Every subset's kappa is one :func:`kappasim.agreement._kappa`
+    division, and a prefix of an ordering is the subset of its cumulative
+    mask, the sum of ``1 << rater`` over its positions. Teams are
+    tabulated in blocks of about ``_BLOCK_BYTES`` (:func:`_subset_bytes`);
+    the kappa table, 2**k floats a team, is kept for the lookups, which go
+    through in blocks of orderings.
+    """
+    n_teams, k, n_items = codes.shape
+    m = perms.shape[1]
+    size = 1 << k
+    gram, totals = _team_tables(codes, n_categories)
+    table = np.empty((n_teams, size))
+    step = max(1, _BLOCK_BYTES // _subset_bytes(k, n_categories))
+    for start in range(0, n_teams, step):
+        S, T2, ns = _subset_terms(gram[start : start + step], totals[start : start + step])
+        table[start : start + step] = _kappa(S, T2, n_items, ns)[0]
+    table = table.ravel()
+    perms = perms.reshape(-1, k)
+    kappas = np.empty((len(perms), k - 1))
+    step = max(1, _BLOCK_BYTES // (8 * k))  # one int64 mask a rater per ordering
+    for start in range(0, len(perms), step):
+        # intp, not the orderings' own type: 1 << rater wraps in uint8 from k = 9 on
+        masks = perms[start : start + step].astype(np.intp)
+        np.left_shift(1, masks, out=masks)
+        np.cumsum(masks, axis=1, out=masks)
+        # ordering r is team r // m's, whose table starts at size * (r // m)
+        masks += size * (np.arange(start, start + len(masks)) // m)[:, None]
+        np.take(table, masks[:, 1:], out=kappas[start : start + step])
+    return kappas.reshape(n_teams, m, k - 1)
+
+
 def _experiments(
     matrix: AnnotationMatrix, k: int, m: int, seeds: Sequence[int]
 ) -> Iterator[tuple[list[tuple[str, ...]], np.ndarray]]:
@@ -441,16 +564,23 @@ def _experiments(
     (teams, m, k-1).
 
     Per block, every ordering is drawn first, by :func:`_pcg64_orderings`,
-    and one kernel call then computes all the progressions. A block holds
+    and one kernel call then computes all the progressions, from the
+    subset table when 2**k <= m*(k-1)/2 and the table fits the budget, by
+    the position walk otherwise (:func:`_prefix_kappas` gives the measured
+    crossovers: at k = 7, the paper's team size, the table wins from about
+    m = 22 on and the rule takes it from m = 43). A block holds
     as many teams as keep what grows with its teams within
     ``_BLOCK_BYTES``, and at least one. Per team that is m orderings'
     progressions (8 bytes a value) and draw tables (4 bytes a draw, see
-    :func:`_table_draws`), a k x k int64 Gram matrix and two copies of the
-    k x items label grid; the kernel bounds the rest itself.
+    :func:`_table_draws`), a k x k int64 Gram matrix, two copies of the
+    k x items label grid and, when :func:`_takes_table`, the team's 2**k
+    subset kappas; the kernel bounds the rest itself.
     """
     n_categories = len(matrix.categories)
     codes = matrix.codes.astype(np.min_scalar_type(n_categories - 1))
     team_bytes = m * (8 * k + 4 * _table_draws(k)) + 8 * k * k + 2 * codes[:k].nbytes
+    if _takes_table(k, m, n_categories):
+        team_bytes += 8 << k
     step = max(1, _BLOCK_BYTES // team_bytes)
     for first in range(0, len(seeds), step):
         block = seeds[first : first + step]
@@ -479,23 +609,28 @@ def run_experiment(matrix: AnnotationMatrix, config: ExperimentConfig) -> RunSet
 
 def column_moments(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean and sample standard deviation (divisor m-1) of each column of
-    an (m, c) table.
+    an (m, c) table, or of each table of a (..., m, c) stack, shape (c,)
+    or (..., c).
 
     A constant column yields (value, 0.0) exactly, m=1 included, so the
     full-team column reproduces kappa-hat untouched by summation error.
     The other columns are reduced as rows of the contiguous transpose:
     that sums each column in the same pairwise order as reducing it on its
     own, where ``axis=0`` would accumulate row by row and differ in the
-    last bits.
+    last bits. A stack's columns are rows of one such transpose, so each
+    table's moments are bitwise those of the table alone.
     """
-    cols = np.ascontiguousarray(np.asarray(table, dtype=np.float64).T)
+    table = np.asarray(table, dtype=np.float64)
+    cols = np.ascontiguousarray(np.swapaxes(table, -1, -2))
+    shape = cols.shape[:-1]
+    cols = cols.reshape(-1, table.shape[-2])
     mu = cols.min(axis=1)
     sigma = np.zeros(len(cols))
     live = mu != cols.max(axis=1)
     if live.any():  # never with m=1, where std(ddof=1) would warn
         mu[live] = cols[live].mean(axis=1)
         sigma[live] = cols[live].std(axis=1, ddof=1)
-    return mu, sigma
+    return mu.reshape(shape), sigma.reshape(shape)
 
 
 def summarize_table(ns: Sequence[int], table: np.ndarray) -> SubsetStats:

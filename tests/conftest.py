@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from kappasim import (
     AnnotationMatrix,
@@ -15,7 +17,13 @@ from kappasim import (
     run_experiment,
     sample_team,
 )
-from kappasim.mc import _prefix_kappas
+from kappasim.mc import _walk_kappas
+
+# On a CI runner a failing property prints the blob that replays it
+# (``@reproduce_failure``); every test keeps its own example count.
+settings.register_profile("ci", deadline=None, print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 # Noise level at which the 3-category synthetic cohort lands near
 # kappa = 0.22: with keep probability 1-rho, observed agreement is
@@ -95,9 +103,11 @@ def numpy_orderings(seed: int, k: int, m: int) -> np.ndarray:
 
 def kernel_rows(matrix: AnnotationMatrix, team, perms) -> np.ndarray:
     """kappa_2..kappa_k of each ordering in ``perms`` (rows of positions in
-    ``team``): the prefix kernel on a one-team stack."""
+    ``team``): the prefix kernel's position walk on a one-team stack,
+    whichever route the kernel would pick, so that a test of the subset
+    table against these rows does not compare the table with itself."""
     codes = matrix.codes[matrix.rows(team)][None]
-    return _prefix_kappas(codes, len(matrix.categories), np.asarray(perms)[None])[0]
+    return _walk_kappas(codes, len(matrix.categories), np.asarray(perms)[None])[0]
 
 
 def ordering_kappas(matrix: AnnotationMatrix, ordering) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 The whole-matrix value, every prefix of every ordering, and the batched
 run_experiment rows all end in the same single integer division, so each
-must equal the exact rational, correctly rounded, bitwise.
+must equal the exact rational, correctly rounded, bitwise, on either
+route of the prefix kernel.
 """
 
 from fractions import Fraction
@@ -15,17 +16,20 @@ from hypothesis import strategies as st
 
 from kappasim import (
     ExperimentConfig,
+    VariationConfig,
     fleiss_kappa,
     kappa_from_counts,
     run_experiment,
+    run_variation,
 )
-from kappasim import mc
+from kappasim import dispersion, mc
 from kappasim.agreement import _kappa
 
 from conftest import (
     kappa_fraction,
     matrix_from_codes,
     numpy_orderings,
+    numpy_team,
     ordering_kappas,
     p_fractions,
     subset,
@@ -114,6 +118,51 @@ def test_twin_runset_rows_equal_single_orderings(twin_matrix, twin_runset):
     for perm, row in zip(numpy_orderings(42, 45, 300), twin_runset.kappas):
         ordering = [twin_runset.team[p] for p in perm]
         assert np.array_equal(row, ordering_kappas(twin_matrix, ordering))
+
+
+def exact_rows(matrix, team, perms):
+    """Every prefix kappa of each ordering in ``perms`` (positions in
+    ``team``) as the rounded exact rational, one oracle call per subset."""
+    memo = {}
+
+    def value(positions):
+        if positions not in memo:
+            memo[positions] = exact(matrix, [team[p] for p in sorted(positions)])[0]
+        return memo[positions]
+
+    return np.array(
+        [[value(frozenset(perm[:n].tolist())) for n in range(2, len(perm) + 1)] for perm in perms]
+    )
+
+
+@pytest.mark.parametrize("k, m", [(7, 100), (9, 500), (11, 1000), (45, 50)])
+def test_drawn_progressions_are_the_rationals_on_both_routes(twin_matrix, k, m):
+    # the orderings as drawn (uint8) through the route the rule picks: the
+    # subset table up to k=11, where its masks pass 255, and the position
+    # walk at k=45; checked against the oracle, not against either route.
+    # Equality with the rounded rational is tighter than the 1e-12 bound
+    assert mc._takes_table(k, m, len(twin_matrix.categories)) == (k < 45)
+    seed = 20 + k
+    kernel = mock.Mock(wraps=mc._prefix_kappas)
+    with mock.patch.object(mc, "_prefix_kappas", kernel):
+        runs = run_experiment(twin_matrix, ExperimentConfig(k=k, m=m, seed=seed))
+    assert kernel.call_args.args[2].dtype == np.uint8
+    assert np.array_equal(runs.kappas, exact_rows(twin_matrix, runs.team, numpy_orderings(seed, k, m)))
+
+    blocks = []
+
+    def recorded(*args):
+        for block in mc._experiments(*args):
+            blocks.append(block)
+            yield block
+
+    with mock.patch.object(dispersion, "_experiments", recorded):
+        run_variation(twin_matrix, VariationConfig(k=k, m=m, j=2, seed=seed))
+    teams, kappas = blocks[-1]
+    team_seed = int(np.random.SeedSequence(seed, spawn_key=(2,)).generate_state(1, np.uint64)[0])
+    assert teams[-1] == numpy_team(twin_matrix, k, team_seed)
+    want = exact_rows(twin_matrix, teams[-1], numpy_orderings(team_seed, k, m))
+    assert np.array_equal(kappas[-1], want)
 
 
 def defining_ratio(S, T2, N, n):

@@ -19,6 +19,7 @@ from kappasim import (
     write_runs,
     write_stats,
 )
+from kappasim.mc import column_moments
 
 from conftest import kernel_rows, matrix_from_codes, numpy_orderings, ordering_kappas, subset
 
@@ -222,6 +223,27 @@ class TestSummarize:
         stats = summarize(twin_runset)
         deviation = np.abs(stats.medians - twin_runset.kappa_hat)
         assert np.all(deviation[3:] <= 0.05)  # n >= 5
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 17, 100, 1000])
+@pytest.mark.parametrize("seed", range(4))
+def test_block_moments_are_each_tables_moments(m, seed):
+    # run_variation reduces a whole block of teams' progressions at once:
+    # each table's means and standard deviations must be bitwise those of
+    # the table alone, on every NumPy the package admits
+    rng = np.random.default_rng(seed)
+    n_teams, c = int(rng.integers(1, 40)), int(rng.integers(2, 12))
+    stack = rng.uniform(-0.5, 1.0, size=(n_teams, m, c))
+    stack[:, :, -1] = stack[:, :1, -1]  # a constant column, like kappa-hat's
+    stack[0] = 0.25  # a constant table
+    stack[-1, :, 0] = rng.integers(0, 7, size=m) / 7  # ties
+    mus, sigmas = column_moments(stack)
+    assert mus.shape == sigmas.shape == (n_teams, c)
+    for t, table in enumerate(stack):
+        mu, sigma = column_moments(table)
+        assert mus[t].tobytes() == mu.tobytes()
+        assert sigmas[t].tobytes() == sigma.tobytes()
+    assert np.all(sigmas[:, -1] == 0.0) and np.array_equal(mus[:, -1], stack[:, 0, -1])
 
 
 class TestRunFiles:

@@ -6,7 +6,8 @@ draws, and runs PCG64 and NumPy's shuffle as array arithmetic for the
 orderings. These tests compare every state word, team draw and ordering
 with the installed NumPy's own SeedSequence and default_rng, and check
 that the stacked prefix kernel gives every team what it gives the team
-alone, whatever the layout of the orderings.
+alone, whatever the layout of the orderings, and that its two routes,
+the position walk and the subset table, agree bitwise.
 """
 
 import subprocess
@@ -37,6 +38,9 @@ from kappasim.mc import (
     _pcg64_orderings,
     _prefix_kappas,
     _streams,
+    _subset_kappas,
+    _takes_table,
+    _walk_kappas,
 )
 
 from conftest import kernel_rows, numpy_orderings, numpy_team
@@ -279,23 +283,35 @@ class TestKeyLimit:
         assert "2**32-1" in capsys.readouterr().err
 
 
-@st.composite
-def team_stacks(draw):
-    """Several teams' (k, items) code grids over K categories, with m
-    orderings of each team's rows."""
-    n_teams = draw(st.integers(1, 6))
-    k = draw(st.integers(2, 9))
-    n_items = draw(st.integers(1, 20))
-    n_categories = draw(st.integers(1, 5))
-    m = draw(st.integers(1, 12))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+def team_stack(n_teams, k, n_items, n_categories, m, seed):
+    """n_teams random (k, items) code grids over K categories, with m
+    random orderings of each team's rows."""
+    rng = np.random.default_rng(seed)
     codes = rng.integers(n_categories, size=(n_teams, k, n_items))
     perms = rng.permuted(np.broadcast_to(np.arange(k), (n_teams, m, k)), axis=2)
     return codes, n_categories, perms
 
 
+@st.composite
+def team_stacks(draw):
+    """Several teams' code grids and orderings (:func:`team_stack`). From
+    40 orderings on, teams of up to 7 raters take the subset table, and
+    from 128 on teams of 9."""
+    n_teams = draw(st.integers(1, 6))
+    k = draw(st.integers(2, 9))
+    n_items = draw(st.integers(1, 20))
+    n_categories = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 12) | st.integers(40, 300))
+    return team_stack(n_teams, k, n_items, n_categories, m, draw(st.integers(0, 2**32 - 1)))
+
+
+# the subset table at k=9, where uint8 orderings would wrap a narrow mask
+TABLE_AT_9 = team_stack(2, 9, 15, 3, 130, 0)
+
+
 @settings(max_examples=60, deadline=None)
 @given(team_stacks(), st.sampled_from(("default", "small_blocks", "python_ints")))
+@example(TABLE_AT_9, "default")
 def test_stacked_kernel_equals_each_team_alone(stack, mode):
     codes, n_categories, perms = stack
     alone = [
@@ -306,7 +322,7 @@ def test_stacked_kernel_equals_each_team_alone(stack, mode):
     patches = {
         "default": {"_BLOCK_BYTES": mc._BLOCK_BYTES},
         # 3 orderings per block, so blocks straddle teams, and a few items
-        # per Gram block
+        # per Gram block; no subset table fits so small a budget
         "small_blocks": {"_BLOCK_BYTES": 8 * (8 * k + n_categories) * 3},
         "python_ints": {"_FLOAT_EXACT": 1},
     }[mode]
@@ -320,6 +336,7 @@ def test_stacked_kernel_equals_each_team_alone(stack, mode):
 
 @settings(max_examples=60, deadline=None)
 @given(team_stacks(), st.booleans())
+@example(TABLE_AT_9, False)
 def test_kernel_rows_do_not_depend_on_the_orderings_layout(stack, python_ints):
     codes, n_categories, perms = stack
     k = codes.shape[1]
@@ -339,3 +356,68 @@ def test_kernel_rows_do_not_depend_on_the_orderings_layout(stack, python_ints):
     for got in rows:
         assert got.tobytes() == rows[0].tobytes()
     assert rows[0].tobytes() == np.stack(alone).tobytes()
+
+
+@st.composite
+def route_cases(draw):
+    """Teams of 2-12 raters over 1 or 5 categories, one of them perhaps
+    labelling everything alike, with codes and orderings in uint8 or
+    int64."""
+    n_teams = draw(st.integers(1, 3))
+    k = draw(st.integers(2, 12))
+    n_items = draw(st.integers(1, 12))
+    n_categories = draw(st.sampled_from((1, 5)))
+    m = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    codes = rng.integers(n_categories, size=(n_teams, k, n_items))
+    if draw(st.booleans()):
+        codes[-1] = codes[-1, 0, 0]  # every subset of that team is degenerate
+    perms = rng.permuted(np.broadcast_to(np.arange(k), (n_teams, m, k)), axis=2)
+    codes_type, perms_type = draw(st.sampled_from((np.uint8, np.int64))), draw(
+        st.sampled_from((np.uint8, np.int64))
+    )
+    return codes.astype(codes_type), n_categories, perms.astype(perms_type)
+
+
+def one_item_case():
+    # one item over five categories: most subsets label it alike (kappa = 1
+    # by the degenerate rule), and at k=9 masks pass what uint8 holds
+    codes = np.array([[[0], [1], [0], [0], [4], [0], [1], [0], [0]]], dtype=np.uint8)
+    perms = np.random.default_rng(0).permuted(np.broadcast_to(np.arange(9), (1, 40, 9)), axis=2)
+    return codes, 5, perms.astype(np.uint8)
+
+
+@settings(max_examples=80, deadline=None)
+@given(route_cases(), st.sampled_from(("default", "small_blocks", "python_ints")))
+@example(one_item_case(), "default")
+def test_subset_table_equals_the_position_walk(case, mode):
+    # both routes by name, whichever the rule would pick: the same integers
+    # S and T2 and the same division, so the same bytes
+    codes, n_categories, perms = case
+    k = codes.shape[1]
+    patches = {
+        "default": {"_BLOCK_BYTES": mc._BLOCK_BYTES},
+        # one team's table at a time and 2 orderings per lookup block
+        "small_blocks": {"_BLOCK_BYTES": 2 * 8 * k},
+        "python_ints": {"_FLOAT_EXACT": 1},
+    }[mode]
+    with mock.patch.multiple(mc, **patches):
+        walk = _walk_kappas(codes, n_categories, perms)
+        table = _subset_kappas(codes, n_categories, perms)
+    assert table.shape == perms.shape[:2] + (k - 1,)
+    assert table.tobytes() == walk.tobytes()
+
+
+@pytest.mark.parametrize("k, m, route", [(7, 100, "_subset_kappas"), (45, 1000, "_walk_kappas")])
+def test_route_rule_takes_the_table_for_small_teams_only(monkeypatch, k, m, route):
+    # twin-variation's teams (k=7, m=100) and twin-simulate's (k=45, m=1000)
+    matrix = generate_synthetic(raters=45, items=20, categories=3, noise=0.4, seed=3)
+    called = []
+    for name in ("_subset_kappas", "_walk_kappas"):
+        kernel = getattr(mc, name)
+        monkeypatch.setattr(mc, name, lambda *args, name=name, kernel=kernel: (
+            called.append(name) or kernel(*args)
+        ))
+    run_experiment(matrix, ExperimentConfig(k=k, m=m, seed=1))
+    assert called == [route]
+    assert _takes_table(k, m, 3) == (route == "_subset_kappas")
