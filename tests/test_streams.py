@@ -170,6 +170,22 @@ def test_variation_memory_is_bounded_by_the_block_budget(items, j):
     assert peak <= 6 * mc._BLOCK_BYTES + 48 * j
 
 
+@pytest.mark.parametrize("items", [100, 1000])
+@pytest.mark.parametrize("k, m, j", [(7, 100, 200), (11, 1000, 4)])
+def test_subset_tables_stay_within_the_block_budget(items, k, m, j):
+    # the same bound on the subset-table route: each block keeps its
+    # teams' 2**k kappas, and the kernel tabulates teams a budget at a time
+    matrix = generate_synthetic(raters=45, items=items, categories=3, noise=0.4, seed=3)
+    assert _takes_table(k, m, 3)
+    tracemalloc.start()
+    try:
+        run_variation(matrix, VariationConfig(k=k, m=m, j=j, seed=5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * mc._BLOCK_BYTES + 48 * j
+
+
 def test_a_bit_generator_asking_for_other_words_is_refused(monkeypatch):
     # SFC64 asks its seed for 3 words: drawing would give another stream
     monkeypatch.setattr(mc.np.random, "PCG64", np.random.SFC64)
@@ -360,23 +376,21 @@ def test_kernel_rows_do_not_depend_on_the_orderings_layout(stack, python_ints):
 
 @st.composite
 def route_cases(draw):
-    """Teams of 2-12 raters over 1 or 5 categories, one of them perhaps
-    labelling everything alike, with codes and orderings in uint8 or
-    int64."""
-    n_teams = draw(st.integers(1, 3))
-    k = draw(st.integers(2, 12))
-    n_items = draw(st.integers(1, 12))
-    n_categories = draw(st.sampled_from((1, 5)))
-    m = draw(st.integers(1, 40))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    codes = rng.integers(n_categories, size=(n_teams, k, n_items))
+    """Stacks of teams of 2-12 raters (:func:`team_stack`) over 1 or 5
+    categories, the last team perhaps labelling everything alike, with
+    codes and orderings each in uint8 or int64."""
+    codes, n_categories, perms = team_stack(
+        draw(st.integers(1, 3)),
+        draw(st.integers(2, 12)),
+        draw(st.integers(1, 12)),
+        draw(st.sampled_from((1, 5))),
+        draw(st.integers(1, 40)),
+        draw(st.integers(0, 2**32 - 1)),
+    )
     if draw(st.booleans()):
         codes[-1] = codes[-1, 0, 0]  # every subset of that team is degenerate
-    perms = rng.permuted(np.broadcast_to(np.arange(k), (n_teams, m, k)), axis=2)
-    codes_type, perms_type = draw(st.sampled_from((np.uint8, np.int64))), draw(
-        st.sampled_from((np.uint8, np.int64))
-    )
-    return codes.astype(codes_type), n_categories, perms.astype(perms_type)
+    dtypes = st.sampled_from((np.uint8, np.int64))
+    return codes.astype(draw(dtypes)), n_categories, perms.astype(draw(dtypes))
 
 
 def one_item_case():
@@ -408,16 +422,13 @@ def test_subset_table_equals_the_position_walk(case, mode):
     assert table.tobytes() == walk.tobytes()
 
 
-@pytest.mark.parametrize("k, m, route", [(7, 100, "_subset_kappas"), (45, 1000, "_walk_kappas")])
-def test_route_rule_takes_the_table_for_small_teams_only(monkeypatch, k, m, route):
+@pytest.mark.parametrize("k, m, takes_table", [(7, 100, True), (45, 1000, False)])
+def test_route_rule_takes_the_table_for_small_teams_only(k, m, takes_table):
     # twin-variation's teams (k=7, m=100) and twin-simulate's (k=45, m=1000)
     matrix = generate_synthetic(raters=45, items=20, categories=3, noise=0.4, seed=3)
-    called = []
-    for name in ("_subset_kappas", "_walk_kappas"):
-        kernel = getattr(mc, name)
-        monkeypatch.setattr(mc, name, lambda *args, name=name, kernel=kernel: (
-            called.append(name) or kernel(*args)
-        ))
-    run_experiment(matrix, ExperimentConfig(k=k, m=m, seed=1))
-    assert called == [route]
-    assert _takes_table(k, m, 3) == (route == "_subset_kappas")
+    with mock.patch.object(mc, "_subset_kappas", wraps=_subset_kappas) as table, mock.patch.object(
+        mc, "_walk_kappas", wraps=_walk_kappas
+    ) as walk:
+        run_experiment(matrix, ExperimentConfig(k=k, m=m, seed=1))
+    assert (table.call_count, walk.call_count) == ((1, 0) if takes_table else (0, 1))
+    assert _takes_table(k, m, 3) == takes_table
