@@ -567,8 +567,8 @@ def _experiments(
     and one kernel call then computes all the progressions, from the
     subset table when 2**k <= m*(k-1)/2 and the table fits the budget, by
     the position walk otherwise (:func:`_prefix_kappas` gives the measured
-    crossovers: at k = 7, the paper's team size, the table wins from about
-    m = 22 on and the rule takes it from m = 43). A block holds
+    crossovers: at k = 7, the paper's team size, the two break even near
+    m = 22 and the rule takes the table from m = 43). A block holds
     as many teams as keep what grows with its teams within
     ``_BLOCK_BYTES``, and at least one. Per team that is m orderings'
     progressions (8 bytes a value) and draw tables (4 bytes a draw, see
