@@ -38,6 +38,7 @@ team count j) must stay below 2**32.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 from typing import Iterator, Sequence, TextIO
 
@@ -668,13 +669,99 @@ def summarize(runs: RunSet) -> SubsetStats:
     return summarize_table(runs.ns, runs.kappas)
 
 
+def _digit_cells(values: np.ndarray) -> np.ndarray:
+    """ASCII decimal digits of non-negative integers, shape ``values.shape
+    + (width,)`` for the widest value, right-aligned: leading places are
+    NUL (0), and 0 keeps its one digit. Computed in int64, then cast."""
+    values = np.asarray(values, dtype=np.int64)
+    places = 10 ** np.arange(len(str(int(values.max()))) - 1, -1, -1, dtype=np.int64)
+    digits = values[..., None] // places % 10 + ord("0")
+    digits[(values[..., None] < places) & (places > 1)] = 0
+    return digits.astype(np.uint8)
+
+
+@cache
+def _value_words() -> tuple[np.ndarray, ...]:
+    """A .6f value as three four-byte words, each looked up by a number in
+    0..999: the whole part right-aligned behind NULs; "." and the first
+    three fraction digits; the last three and the newline. Last, the word
+    to OR into the first (NUL) byte of a negative value's whole part.
+    Built on first use, so that importing kappasim runs none of it; every
+    caller shares the read-only words."""
+    digits3 = _digit_cells(np.arange(1000, 2000))[:, 1:]
+    words = (
+        np.frombuffer(np.column_stack(cells).astype(np.uint8).tobytes(), dtype=np.uint32)
+        for cells in (
+            (np.zeros(1000), _digit_cells(np.arange(1000))),
+            (np.full(1000, ord(".")), digits3),
+            (digits3, np.full(1000, ord("\n"))),
+        )
+    )
+    return (*words, np.frombuffer(b"-\0\0\0", dtype=np.uint32))
+
+
+def _runs_text(first: int, ns: Sequence[int], kappas: np.ndarray) -> str:
+    """The runs-file rows of runs ``first+1 ..``, one per (run, n) cell of
+    the (runs, k-1) block ``kappas``, by one format string per run: the
+    oracle of :func:`_runs_bytes`."""
+    rows = "".join(f"{{0}},{n},{{{i}:.6f}}\n" for i, n in enumerate(ns, 1))
+    return "".join(rows.format(r, *row) for r, row in enumerate(kappas.tolist(), first + 1))
+
+
+def _runs_bytes(first: int, ns: Sequence[int], kappas: np.ndarray) -> bytes:
+    """The bytes of :func:`_runs_text`, made in NumPy: for each cell,
+    ``f"{run},{n},{kappa:.6f}\\n"``.
+
+    With |y| < 999,999,999 for y = kappa*1e6, y is within 2**-23 of the exact
+    decimal scaling, so where no y lies within 1e-6 of a half-integer,
+    ``rint(y)`` is the correctly rounded six-decimal value that ``.6f``
+    prints, sign included (``signbit``: ``-0.0`` and ``-4e-7`` print
+    ``-0.000000``). Each cell is laid out as a row of NUL-padded fields
+    and the NULs are dropped. A block with a near-tie, a non-finite or a
+    large value is formatted by :func:`_runs_text` instead.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # such values take the template
+        y = kappas * 1e6
+        fast = np.all(np.abs(y) < 999_999_999) and np.all(np.abs(y - np.floor(y) - 0.5) > 1e-6)
+    if not fast:
+        return _runs_text(first, ns, kappas).encode()
+    whole_words, hi_words, lo_words, minus = _value_words()
+    whole, frac = np.divmod(np.abs(np.rint(y)).astype(np.int64), 10**6)
+    value = np.empty(kappas.shape + (3,), dtype=np.uint32)
+    value[..., 0] = whole_words.take(whole) | np.signbit(kappas) * minus
+    value[..., 1] = hi_words.take(frac // 1000)
+    value[..., 2] = lo_words.take(frac % 1000)
+    run = _digit_cells(np.arange(first + 1, first + len(kappas) + 1))
+    n = _digit_cells(ns)
+    a, b = run.shape[1], run.shape[1] + 1 + n.shape[1]
+    grid = np.empty(kappas.shape + (b + 1 + 12,), dtype=np.uint8)
+    grid[..., :a] = run[:, None]
+    grid[..., a + 1 : b] = n
+    grid[..., (a, b)] = ord(",")
+    grid[..., b + 1 :] = value.view(np.uint8)
+    return grid.tobytes().translate(None, b"\0")
+
+
 def write_runs(runs: RunSet, dest: str | Path | TextIO | None) -> None:
-    """Write the long-format runs file: ``run_id,n,kappa``, (k-1)*m rows,
-    one format string per run, streamed: memory does not grow with m."""
-    rows = "".join(f"{{0}},{n},{{{i}:.6f}}\n" for i, n in enumerate(runs.ns, 1))
+    """Write the long-format runs file: ``run_id,n,kappa``, (k-1)*m rows.
+
+    The rows are the bytes of Python's ``.6f`` formatting, made in NumPy a
+    bounded block of runs at a time (:func:`_runs_bytes`), so memory does
+    not grow with m. A file opened here takes each block's bytes on its
+    binary buffer; a passed stream (or stdout) takes the text, so its own
+    encoding and newline translation apply.
+    """
+    step = max(1, _BLOCK_BYTES // (32 * len(runs.ns)))  # a block's temporaries: ~90 bytes a value
+    blocks = (
+        _runs_bytes(r, runs.ns, runs.kappas[r : r + step]) for r in range(0, runs.config.m, step)
+    )
     with open_text_dest(dest) as fh:
         fh.write(",".join(RUNS_HEADER) + "\n")
-        fh.writelines(rows.format(r, *row.tolist()) for r, row in enumerate(runs.kappas, 1))
+        if dest is None or hasattr(dest, "write"):
+            fh.writelines(block.decode("ascii") for block in blocks)
+        else:  # opened as UTF-8 without newline translation
+            fh.flush()
+            fh.buffer.writelines(blocks)
 
 
 def read_runs(path: str | Path) -> tuple[tuple[int, ...], np.ndarray]:

@@ -8,6 +8,7 @@ NumPy pass first; it must accept exactly what the csv reader accepts.
 """
 
 import csv
+import io
 import math
 import re
 import tracemalloc
@@ -43,6 +44,7 @@ from kappasim import (
     write_stats,
     write_variation,
 )
+from kappasim import mc
 from kappasim.cli import main
 from kappasim.corpus import (
     _BLOCK_BYTES,
@@ -734,6 +736,131 @@ def test_write_runs_memory_does_not_grow_with_m(tmp_path):
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] < 64 * 1024
+
+
+def runs_reference(first, ns, kappas):
+    """The runs rows of runs first+1.. by Python's .6f, one value at a time."""
+    return "".join(
+        f"{r},{n},{v:.6f}\n" for r, row in enumerate(kappas.tolist(), first + 1)
+        for n, v in zip(ns, row)
+    ).encode()
+
+
+def runs_file(runs):
+    return b"run_id,n,kappa\n" + runs_reference(0, runs.ns, runs.kappas)
+
+
+def run_set(kappas):
+    """A RunSet over an (m, k-1) table whose last column is made constant."""
+    kappas = np.array(kappas, dtype=np.float64)
+    kappas[:, -1] = 0.5
+    m, c = kappas.shape
+    return RunSet(ExperimentConfig(k=c + 1, m=m, seed=0), tuple(f"r{i}" for i in range(c + 1)),
+                  0.5, kappas)
+
+
+# Values where .6f rounding is easy to get wrong. The NumPy path prints
+# signed zeros, values that round to zero from below and the ends of
+# kappa's range; exact ties j/2**7 and near-ties x.5e-6 send their block to
+# the template, as do values outside the NumPy path's range.
+SIGNS = [0.0, -0.0, -4e-7, 4e-7, 1.0, -1.0, 0.9999994, -0.9999996]
+TIES = [0.0078125, -0.0078125, 3 / 128, 2.5e-6, -2.5e-6, 0.5e-6, -5e-7, 1.0000005, 0.1234565]
+LARGE = [999.999, 999.9995, -999.9999996, 1000.0, 2**31 / 1e6, -(2**31) / 1e6, 1e300, -1e300]
+NON_FINITE = [math.inf, -math.inf, math.nan]
+ADVERSARIAL = SIGNS + TIES + LARGE + NON_FINITE
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 9).flatmap(lambda c: st.lists(
+        st.lists(st.floats(-2.0, 2.0) | st.sampled_from(SIGNS), min_size=c, max_size=c),
+        min_size=1, max_size=12)),
+    st.none() | st.tuples(
+        st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(TIES + LARGE + NON_FINITE),
+        st.integers(0, 200),
+    ),
+    st.integers(0, 2000),
+)
+def test_runs_bytes_are_python_format(rows, hard, first):
+    # a block of kappa-like values, and at times one hard value among them
+    kappas = np.array(rows, dtype=np.float64)
+    if hard is not None:
+        value, at = hard
+        kappas.flat[at % kappas.size] = value
+    ns = range(2, kappas.shape[1] + 2)
+    assert mc._runs_bytes(first, ns, kappas) == runs_reference(first, ns, kappas)
+
+
+@pytest.mark.parametrize("value", ADVERSARIAL)
+def test_one_hard_value_sends_only_its_block_to_the_template(tmp_path, monkeypatch, value):
+    kappas = np.random.default_rng(7).uniform(-1.0, 1.0, (40, 5))
+    kappas[25, 2] = value
+    runs = run_set(kappas)
+    template, runs_text = [], mc._runs_text
+
+    def spy(first, ns, block):
+        template.append(first)
+        return runs_text(first, ns, block)
+
+    monkeypatch.setattr(mc, "_runs_text", spy)
+    monkeypatch.setattr(mc, "_BLOCK_BYTES", 32 * 5 * 10)  # blocks of 10 runs
+    path = tmp_path / "runs.csv"
+    write_runs(runs, path)
+    assert path.read_bytes() == runs_file(runs)
+    y = value * 1e6
+    fast = abs(y) < 999_999_999 and abs(y - math.floor(y) - 0.5) > 1e-6
+    assert template == ([] if fast else [20])
+
+
+@pytest.mark.parametrize("m", [1, 9, 10, 11, 99, 100, 101, 999, 1000, 1001])
+@pytest.mark.parametrize("step", [1, 7, 9, 10, 99, 100, 10**6])
+def test_runs_file_across_id_widths_and_blocks(tmp_path, monkeypatch, m, step):
+    # run ids change width at 10, 100 and 1000, inside a block or where a
+    # new one starts; ids past 255 would wrap in any uint8 arithmetic
+    runs = run_set(np.random.default_rng(m).uniform(-1.0, 1.0, (m, 2)))
+    monkeypatch.setattr(mc, "_BLOCK_BYTES", 32 * 2 * step)
+    path = tmp_path / "runs.csv"
+    write_runs(runs, path)
+    assert path.read_bytes() == runs_file(runs)
+
+
+@pytest.mark.parametrize("k", [101, 102, 300])
+def test_runs_file_with_three_digit_subset_sizes(tmp_path, k):
+    runs = run_set(np.random.default_rng(k).uniform(-1.0, 1.0, (260, k - 1)))
+    path = tmp_path / "runs.csv"
+    write_runs(runs, path)
+    assert path.read_bytes() == runs_file(runs)
+
+
+def test_digit_cells_widen_before_they_compute():
+    for values in (np.arange(250, 256, dtype=np.uint8), np.array([0, 9, 10, 65535], np.uint16)):
+        cells = mc._digit_cells(values)
+        assert cells.dtype == np.uint8
+        width = len(str(int(values.max())))
+        assert [bytes(row) for row in cells] == [
+            str(int(v)).rjust(width, "\0").encode() for v in values
+        ]
+
+
+def test_runs_file_is_the_same_on_every_dest(tmp_path, capsys):
+    kappas = np.random.default_rng(3).uniform(-1.0, 1.0, (300, 6))
+    kappas[5, 1] = 0.0078125  # one block through the template
+    runs = run_set(kappas)
+    want = runs_file(runs)
+    path = tmp_path / "runs.csv"
+    write_runs(runs, path)
+    text = io.StringIO()
+    write_runs(runs, text)
+    write_runs(runs, None)
+    assert path.read_bytes() == want
+    assert text.getvalue().encode() == want
+    assert capsys.readouterr().out.encode() == want
+    # a passed stream's own encoding and newline translation apply
+    raw = io.BytesIO()
+    stream = io.TextIOWrapper(raw, encoding="utf-16", newline="\r\n")
+    write_runs(runs, stream)
+    stream.flush()
+    assert raw.getvalue().decode("utf-16") == want.decode().replace("\n", "\r\n")
 
 
 @settings(max_examples=60, deadline=None)
