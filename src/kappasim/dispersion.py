@@ -28,7 +28,7 @@ from kappasim.agreement import fleiss_kappa
 from kappasim.corpus import AnnotationMatrix, read_columns, write_table
 from kappasim.errors import DataError
 from kappasim.mc import (
-    _MAX_KEY, ExperimentConfig, _child_states, _experiments, _freeze_columns, column_moments
+    _MAX_KEY, ExperimentConfig, _experiments, _freeze_columns, _seed_states, column_moments
 )
 
 VARIATION_HEADER = ("n", "mu_bar", "sigma_bar", "cv", "cv_percent")
@@ -99,7 +99,7 @@ def run_variation(matrix: AnnotationMatrix, config: VariationConfig) -> Variatio
     (matrix, config). These are NumPy's SeedSequence -> PCG64 streams,
     computed with array arithmetic for many teams and orderings at once
     (see :mod:`kappasim.mc`). Teams go through in blocks, each block's
-    root words, orderings, progressions and per-team moments (one
+    words, teams, orderings, progressions and per-team moments (one
     :func:`kappasim.mc.column_moments` call) computed in turn: memory is a
     few ``_BLOCK_BYTES`` blocks plus the team seeds and kappa-hats, about
     60 bytes a team. A spawn key is one 32-bit word, so j and m stay below
@@ -110,7 +110,7 @@ def run_variation(matrix: AnnotationMatrix, config: VariationConfig) -> Variatio
             f"team size {config.k} exceeds the matrix's {len(matrix.raters)} raters"
         )
     ns = tuple(range(2, config.k + 1))
-    team_seeds = _child_states([config.seed], range(1, config.j + 1))[0, :, 0].copy()
+    team_seeds = _seed_states([config.seed], range(1, config.j + 1))[1:, 0].copy()
     mu_bar = np.zeros(len(ns))
     sigma_bar = np.zeros(len(ns))
     team_kappa_hats: list[float] = []

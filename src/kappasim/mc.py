@@ -25,12 +25,14 @@ child stream ``default_rng(SeedSequence(seed, spawn_key=(r,)))``, r =
 1..m. Results are therefore bit-identical on every invocation, and the
 first m runs of a longer experiment coincide with the m runs of a shorter
 one. These are NumPy's own SeedSequence -> PCG64 streams, but no object
-is built per run: :func:`_child_states` runs SeedSequence's hash (fixed by
-NEP 19) as uint32 array arithmetic for many runs at once, and
-:func:`_pcg64_orderings` runs PCG64 and NumPy's shuffle on the computed
-words as array arithmetic over all runs of a block. Only the team draw
-seeds NumPy's own PCG64 from the words (:func:`_streams`). NumPy is the
-oracle: a test pins every word and every ordering bitwise to the
+is built per run: :func:`_seed_states` runs SeedSequence's hash (fixed by
+NEP 19) as uint32 array arithmetic for many teams and runs at once, and
+:func:`_pcg64_orderings` runs PCG64 on the computed words as array
+arithmetic over all teams and runs of a block, and on it NumPy's
+``choice`` for each team and NumPy's shuffle for each ordering. Only a
+team that ``choice`` draws by shuffling a tail (more than 10,000 raters)
+is drawn by NumPy itself, on its own generator. NumPy is the oracle: a
+test pins every word, every team and every ordering bitwise to the
 installed NumPy. A spawn key is one 32-bit word, so m (and a variation's
 team count j) must stay below 2**32.
 """
@@ -148,11 +150,21 @@ def sample_team(matrix: AnnotationMatrix, k: int, rng: np.random.Generator) -> t
     The returned subset is in matrix order; orderings are a separate,
     per-run draw.
     """
-    total = len(matrix.raters)
+    _check_team_size(k, len(matrix.raters))
+    idx = np.sort(rng.choice(len(matrix.raters), size=k, replace=False))
+    return tuple(matrix.raters[i] for i in idx)
+
+
+def _check_team_size(k: int, total: int) -> None:
     if not 3 <= k <= total:
         raise DataError(f"team size must be between 3 and {total}, got {k}")
-    idx = np.sort(rng.choice(total, size=k, replace=False))
-    return tuple(matrix.raters[i] for i in idx)
+
+
+def _floyd_route(total: int, k: int) -> bool:
+    """Whether ``Generator.choice(total, k, replace=False)`` runs Floyd's
+    algorithm, which :func:`_pcg64_orderings` replays, rather than
+    shuffling a tail of all ``total`` indices."""
+    return total <= 10_000 or k <= total // 50
 
 
 # Size of the temporaries of the batched prefix kernel: it works through
@@ -183,20 +195,22 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result
 
 
-def _child_states(seeds: Sequence[int], keys: Sequence[int] | None) -> np.ndarray:
-    """``SeedSequence(seed, spawn_key=(key,)).generate_state(4, np.uint64)``
-    for every seed and key, shape (len(seeds), len(keys), 4); with
-    ``keys=None``, that of the root ``SeedSequence(seed)``, shape
-    (len(seeds), 4).
+def _seed_states(seeds: Sequence[int], keys: Sequence[int]) -> np.ndarray:
+    """``SeedSequence(seed).generate_state(4, np.uint64)`` for every seed
+    (the roots), then ``SeedSequence(seed, spawn_key=(key,))``'s for every
+    seed and key (the children), as rows: shape (len(seeds) * (1 +
+    len(keys)), 4), the roots first, then each seed's children in key order.
 
     SeedSequence's ``mix_entropy`` and ``generate_state`` run here as uint32
-    array arithmetic over all pairs at once. The entropy is the seed's
-    32-bit words, least significant first, zero-padded to the pool size,
-    then the key's one word. Padding a keyless seed changes nothing:
-    SeedSequence hashes a zero into every pool word past its entropy.
-    Seeds of 2**128 and up have more words than the pool; they run through
-    the extra-entropy loop, and must then all have the same word count.
-    Keys above 2**32-1 would take two words and raise :class:`DataError`.
+    array arithmetic over all seeds and keys at once. The entropy is the
+    seed's 32-bit words, least significant first, zero-padded to the pool
+    size, then the key's one word. Padding a keyless seed changes nothing:
+    SeedSequence hashes a zero into every pool word past its entropy. So a
+    root's words come from the pool before the key is mixed in and its
+    children's from that pool after, and each seed is hashed once. Seeds of
+    2**128 and up have more words than the pool; they run through the
+    extra-entropy loop, and must then all have the same word count. Keys
+    above 2**32-1 would take two words and raise :class:`DataError`.
     """
     seeds = [int(seed) for seed in seeds]
     counts = [max(1, -(-seed.bit_length() // 32)) for seed in seeds]
@@ -205,11 +219,10 @@ def _child_states(seeds: Sequence[int], keys: Sequence[int] | None) -> np.ndarra
         raise ValueError("seeds of 2**128 and up must share one word count")
     raw = b"".join(seed.to_bytes(4 * width, "little") for seed in seeds)
     entropy = list(np.frombuffer(raw, "<u4").reshape(len(seeds), width).T.astype(np.uint32))
-    if keys is not None:
-        keys = np.asarray(keys)
-        if keys.size and not 0 <= keys.min() <= keys.max() <= _MAX_KEY:
-            raise DataError(f"spawn keys must lie in 0..2**32-1, got {keys.min()}..{keys.max()}")
-        entropy = [word[:, None] for word in entropy] + [keys.astype(np.uint32)]
+    keys = np.asarray(keys)
+    if keys.size and not 0 <= keys.min() <= keys.max() <= _MAX_KEY:
+        raise DataError(f"spawn keys must lie in 0..2**32-1, got {keys.min()}..{keys.max()}")
+    keys = keys.astype(np.uint32)
 
     hash_const = _INIT_A
 
@@ -229,35 +242,19 @@ def _child_states(seeds: Sequence[int], keys: Sequence[int] | None) -> np.ndarra
     for word in entropy[_POOL_SIZE:]:
         for dst in range(_POOL_SIZE):
             pool[dst] = _mix(pool[dst], hashmix(word))
+    pool = [
+        np.concatenate([word, _mix(word[:, None], hashmix(keys)).ravel()]) for word in pool
+    ]
 
     hash_const = _INIT_B
-    state = np.empty(np.broadcast_shapes(*(word.shape for word in pool)) + (8,), dtype="<u4")
+    state = np.empty((len(pool[0]), 8), dtype="<u4")
     for i in range(8):  # 4 uint64 words, low half first
         value = pool[i % _POOL_SIZE] ^ hash_const
         hash_const = hash_const * _MULT_B & _MASK32
         value *= hash_const
         value ^= value >> 16
-        state[..., i] = value
+        state[:, i] = value
     return state.view("<u8").astype(np.uint64, copy=False)
-
-
-def _streams(states: np.ndarray) -> Iterator[np.random.Generator]:
-    """A new Generator per row of :func:`_child_states` words: NumPy's own
-    PCG64 seeds itself from the row as from its SeedSequence, so it is the
-    stream ``default_rng`` builds on that SeedSequence."""
-
-    # defined per call: subclassing at import would import numpy.random
-    class Words(np.random.bit_generator.ISeedSequence):
-        def __init__(self, words: np.ndarray) -> None:
-            self.words = words
-
-        def generate_state(self, n_words: int, dtype: type = np.uint32) -> np.ndarray:
-            if n_words != 4 or np.dtype(dtype) != np.uint64:
-                raise ValueError(f"a PCG64 seed is 4 uint64 words, not {n_words} {np.dtype(dtype)}")
-            return self.words
-
-    for words in np.ascontiguousarray(states, dtype=np.uint64).reshape(-1, 4):
-        yield np.random.Generator(np.random.PCG64(Words(words)))
 
 
 def _u64(value: int) -> np.ndarray:
@@ -305,18 +302,29 @@ def _pcg64_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.n
     hi += lo < inc_lo
 
 
-def _pcg64_orderings(states: np.ndarray, k: int) -> np.ndarray:
-    """``Generator.permutation(k)`` on the stream of each (4,) row of
-    :func:`_child_states` words, (rows, k), bit for bit: array arithmetic
-    over all rows (lanes) at once, every lane on its own stream.
+def _pcg64_orderings(
+    states: np.ndarray, k: int, teams: int = 0, raters: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """NumPy's ``Generator`` draws on the stream of each (4,) row of
+    :func:`_seed_states` words, bit for bit: array arithmetic over all rows
+    (lanes) at once, every lane on its own stream. The first ``teams``
+    lanes each draw a team of k of ``raters`` (at least k), as
+    ``np.sort(choice(raters, k, replace=False))`` on NumPy's Floyd route
+    (:func:`_floyd_route`), (teams, k); every other lane draws an ordering,
+    ``permutation(k)``, (rows - teams, k).
 
     Seeding follows ``pcg64_set_seed``: state seed ``w0<<64 | w1``,
     increment ``(w2<<64 | w3)<<1 | 1``; from state 0, step, add the seed,
-    step. Each lane then draws a table of uint32 up front, and the shuffle
-    runs NumPy's ``random_interval`` swaps for i = k-1 .. 1: j is the next
-    draw masked to ``2**bit_length(i) - 1``, redrawn while above i. Only
-    the rejected lanes loop; a lane about to run out of draws makes every
-    lane draw as many again.
+    step. Each lane then draws a table of uint32 up front. A team lane runs
+    Floyd's algorithm (Bentley and Floyd 1987) as ``choice`` does: for j =
+    raters-k .. raters-1, v is Lemire's bounded draw ``(u * (j+1)) >> 32``
+    (Lemire 2019), redrawn while its low word is below ``(2**32-1-j) %
+    (j+1)``, and j joins the team in place of a v already in it; with k ==
+    raters the team is every rater, and no draw is read. An ordering lane
+    runs the shuffle's ``random_interval`` swaps for i = k-1 .. 1: j is the
+    next draw masked to ``2**bit_length(i) - 1``, redrawn while above i.
+    Only the rejected lanes loop; a lane about to run out of draws makes
+    every lane draw as many again.
     """
     words = np.ascontiguousarray(states, dtype=np.uint64)
     lanes = len(words)
@@ -343,11 +351,33 @@ def _pcg64_orderings(states: np.ndarray, k: int) -> np.ndarray:
 
     n_outputs = -(-_table_draws(k) // 2)
     table = draws(n_outputs)
-    perms = np.empty((k, lanes), dtype=np.min_scalar_type(k - 1))
+    if teams and raters > k:
+        bound = np.arange(raters - k + 1, raters + 1, dtype=np.uint64)[:, None]  # j + 1
+        floor = (_LOW32 - bound + _ONE) % bound
+        at = np.arange(teams) + lanes * np.arange(k)[:, None]  # step t's draw: table[at[t]]
+        while True:
+            if at.max() >= len(table):
+                table = np.concatenate([table, draws(n_outputs)])
+            scaled = table[at].astype(np.uint64) * bound
+            rejected = (scaled & _LOW32) < floor
+            if not rejected.any():
+                break
+            # a lane's first rejected step draws again, and so each later one
+            at += lanes * (rejected & (rejected.cumsum(axis=0) == 1)).cumsum(axis=0)
+        v = (scaled >> _32).astype(np.intp)
+        team = np.empty((k, teams), dtype=np.intp)
+        for t, j in enumerate(range(raters - k, raters)):
+            team[t] = np.where((team[:t] == v[t]).any(axis=0), j, v[t])
+        team.sort(axis=0)
+    else:  # every rater, or no team lane
+        team = np.broadcast_to(np.arange(k)[:, None], (k, teams))
+
+    orderings = lanes - teams
+    perms = np.empty((k, orderings), dtype=np.min_scalar_type(k - 1))
     perms[...] = np.arange(k)[:, None]
     flat = perms.reshape(-1)
-    lane = np.arange(lanes)
-    cursor = lane.copy()  # lane's next draw: table[cursor]
+    lane = np.arange(orderings)
+    cursor = lane + teams  # lane's next draw: table[cursor]
     for i in range(k - 1, 0, -1):
         mask = np.uint32((1 << i.bit_length()) - 1)
         j = table[cursor] & mask
@@ -360,25 +390,31 @@ def _pcg64_orderings(states: np.ndarray, k: int) -> np.ndarray:
             j[rejected] = redrawn = table[redraw] & mask
             rejected = rejected[redrawn > i]
         cursor += lanes
-        at = j.astype(np.intp) * lanes + lane
+        at = j.astype(np.intp) * orderings + lane
         swapped = perms[i].copy()
         perms[i] = flat[at]
         flat[at] = swapped
-    return perms.T
+    return team.T, perms.T
 
 
-def _gram(codes: np.ndarray, n_categories: int) -> np.ndarray:
+def _gram(codes: np.ndarray) -> np.ndarray:
     """G[t, r, s]: the number of items on which raters r and s of team t
-    agree, from a (teams, k, items) label-code grid."""
+    agree, from a (teams, k, items) label-code grid.
+
+    Each pair's two label rows are compared and the matches summed along
+    the items, a block of items at a time; a rater agrees with itself on
+    every item."""
     n_teams, k, n_items = codes.shape
-    by_item = np.ascontiguousarray(
-        codes.transpose(0, 2, 1), dtype=np.min_scalar_type(n_categories - 1)
-    )
-    gram = np.zeros((n_teams, k, k), dtype=np.int64)
-    step = max(1, _BLOCK_BYTES // (n_teams * k * k))
+    first, second = np.triu_indices(k, 1)
+    agree = np.zeros((n_teams, len(first)), dtype=np.int64)
+    # per item of a block: both label rows of every pair, and their comparison
+    step = max(1, _BLOCK_BYTES // (n_teams * len(first) * (2 * codes.itemsize + 1)))
     for start in range(0, n_items, step):
-        block = by_item[:, start : start + step, :, None]
-        gram += (block == block.swapaxes(2, 3)).sum(axis=1, dtype=np.int32)
+        block = codes[:, :, start : start + step]
+        agree += (block[:, first] == block[:, second]).sum(axis=2)
+    gram = np.full((n_teams, k, k), n_items, dtype=np.int64)
+    gram[:, first, second] = agree
+    gram[:, second, first] = agree
     return gram
 
 
@@ -397,7 +433,7 @@ def _team_tables(codes: np.ndarray, n_categories: int) -> tuple[np.ndarray, np.n
         counts = np.bincount(cells.ravel(), minlength=len(chunk) * n_categories)
         totals[start : start + step] = counts.reshape(-1, n_categories)
     del cells, counts  # not kept alive through the Gram matrices
-    gram = _gram(codes, n_categories)
+    gram = _gram(codes)
     totals = totals.reshape(n_teams, k, n_categories)
     if n_items * n_items * k**3 >= _FLOAT_EXACT:
         return gram.astype(object), totals.astype(object)
@@ -564,32 +600,43 @@ def _experiments(
     blocks of teams: yields each block's teams and progressions
     (teams, m, k-1).
 
-    Per block, every ordering is drawn first, by :func:`_pcg64_orderings`,
-    and one kernel call then computes all the progressions, from the
-    subset table when 2**k <= m*(k-1)/2 and the table fits the budget, by
-    the position walk otherwise (:func:`_prefix_kappas` gives the measured
-    crossovers: at k = 7, the paper's team size, the two break even near
-    m = 22 and the rule takes the table from m = 43). A block holds
-    as many teams as keep what grows with its teams within
-    ``_BLOCK_BYTES``, and at least one. Per team that is m orderings'
-    progressions (8 bytes a value) and draw tables (4 bytes a draw, see
-    :func:`_table_draws`), a k x k int64 Gram matrix, two copies of the
-    k x items label grid and, when :func:`_takes_table`, the team's 2**k
-    subset kappas; the kernel bounds the rest itself.
+    Per block, every seed's root and child words are hashed at once
+    (:func:`_seed_states`), and :func:`_pcg64_orderings` draws the teams on
+    the roots' lanes and every ordering on the children's, all in one
+    table. Where ``choice`` would shuffle a tail instead of running Floyd's
+    algorithm (more than 10,000 raters), each team is :func:`sample_team`
+    on NumPy's own root stream. One kernel call then computes all the
+    progressions, from the subset table when 2**k <= m*(k-1)/2 and the
+    table fits the budget, by the position walk otherwise
+    (:func:`_prefix_kappas` gives the measured crossovers: at k = 7, the
+    paper's team size, the two break even near m = 22 and the rule takes
+    the table from m = 43). A block holds as many teams as keep what grows
+    with its teams within ``_BLOCK_BYTES``, and at least one. Per team that
+    is m orderings' progressions (8 bytes a value), m + 1 lanes' draw
+    tables (4 bytes a draw, see :func:`_table_draws`), a k x k int64 Gram
+    matrix, the k x items label grid and, when :func:`_takes_table`, the
+    team's 2**k subset kappas; the kernel bounds the rest itself.
     """
+    total = len(matrix.raters)
+    _check_team_size(k, total)
     n_categories = len(matrix.categories)
     codes = matrix.codes.astype(np.min_scalar_type(n_categories - 1))
-    team_bytes = m * (8 * k + 4 * _table_draws(k)) + 8 * k * k + 2 * codes[:k].nbytes
+    team_bytes = 8 * m * k + 4 * (m + 1) * _table_draws(k) + 8 * k * k + codes[:k].nbytes
     if _takes_table(k, m, n_categories):
         team_bytes += 8 << k
     step = max(1, _BLOCK_BYTES // team_bytes)
+    floyd = _floyd_route(total, k)
     for first in range(0, len(seeds), step):
         block = seeds[first : first + step]
-        teams = [sample_team(matrix, k, rng) for rng in _streams(_child_states(block, None))]
-        perms = _pcg64_orderings(_child_states(block, range(1, m + 1)).reshape(-1, 4), k)
-        perms = perms.reshape(len(block), m, k)
-        team_codes = codes[[matrix.rows(team) for team in teams]]
-        yield teams, _prefix_kappas(team_codes, n_categories, perms)
+        states = _seed_states(block, range(1, m + 1))
+        if floyd:
+            rows, perms = _pcg64_orderings(states, k, len(block), total)
+        else:  # NumPy's own choice, on each root stream
+            roots = (np.random.default_rng(np.random.SeedSequence(int(seed))) for seed in block)
+            rows = [matrix.rows(sample_team(matrix, k, rng)) for rng in roots]
+            perms = _pcg64_orderings(states[len(block) :], k)[1]
+        teams = [tuple(matrix.raters[i] for i in row) for row in np.asarray(rows).tolist()]
+        yield teams, _prefix_kappas(codes[rows], n_categories, perms.reshape(len(block), m, k))
 
 
 def run_experiment(matrix: AnnotationMatrix, config: ExperimentConfig) -> RunSet:

@@ -1,13 +1,14 @@
 """The vectorized random streams are NumPy's streams, bit for bit.
 
 kappasim computes SeedSequence's hash for every (seed, spawn key) pair at
-once. From the resulting words it seeds NumPy's own PCG64 for the team
-draws, and runs PCG64 and NumPy's shuffle as array arithmetic for the
-orderings. These tests compare every state word, team draw and ordering
-with the installed NumPy's own SeedSequence and default_rng, and check
-that the stacked prefix kernel gives every team what it gives the team
-alone, whatever the layout of the orderings, and that its two routes,
-the position walk and the subset table, agree bitwise.
+once. From the resulting words it runs PCG64 as array arithmetic, and on
+its lanes NumPy's ``choice`` for the team draws and NumPy's shuffle for
+the orderings. These tests compare every state word, team draw and
+ordering with the installed NumPy's own SeedSequence and default_rng,
+check that the Gram matrices are the pairwise agreement counts, and that
+the stacked prefix kernel gives every team what it gives the team alone,
+whatever the layout of the orderings, and that its two routes, the
+position walk and the subset table, agree bitwise.
 """
 
 import subprocess
@@ -32,12 +33,14 @@ from kappasim import (
 )
 from kappasim import mc
 from kappasim.cli import main
+from kappasim.corpus import AnnotationMatrix
 from kappasim.mc import (
-    _child_states,
     _experiments,
+    _floyd_route,
+    _gram,
     _pcg64_orderings,
     _prefix_kappas,
-    _streams,
+    _seed_states,
     _subset_kappas,
     _takes_table,
     _walk_kappas,
@@ -66,58 +69,115 @@ def numpy_state(seed, key=None):
 @example(2**160 + 7, [3])
 @example(2**200, [0, MAX_KEY])
 def test_child_states_are_seedsequence_words(seed, key_list):
-    got = _child_states([seed], key_list)
-    assert got.shape == (1, len(key_list), 4) and got.dtype == np.uint64
-    for row, key in zip(got[0], key_list):
+    got = _seed_states([seed], key_list)
+    assert got.shape == (1 + len(key_list), 4) and got.dtype == np.uint64
+    assert np.array_equal(got[0], numpy_state(seed))
+    for row, key in zip(got[1:], key_list):
         assert np.array_equal(row, numpy_state(seed, key))
-    assert np.array_equal(_child_states([seed], None)[0], numpy_state(seed))
+    assert np.array_equal(_seed_states([seed], ()), [numpy_state(seed)])
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5), keys)
 def test_seeds_and_keys_broadcast(seed_list, key_list):
-    got = _child_states(np.array(seed_list, dtype=np.uint64), key_list)
-    roots = _child_states(seed_list, None)
+    # the roots first, then each seed's children in key order
+    got = _seed_states(np.array(seed_list, dtype=np.uint64), key_list)
+    roots, children = got[: len(seed_list)], got[len(seed_list) :]
+    children = children.reshape(len(seed_list), len(key_list), 4)
     for i, seed in enumerate(seed_list):
         assert np.array_equal(roots[i], numpy_state(seed))
         for j, key in enumerate(key_list):
-            assert np.array_equal(got[i, j], numpy_state(seed, key))
+            assert np.array_equal(children[i, j], numpy_state(seed, key))
 
 
 def test_wide_seeds_batch_when_their_word_counts_match():
     wide = [2**192, 2**200 - 1, 2**199 + 12345]  # seven words each
-    got = _child_states(wide, [1, 7])
+    got = _seed_states(wide, [1, 7])[len(wide) :].reshape(len(wide), 2, 4)
     for i, seed in enumerate(wide):
         for j, key in enumerate((1, 7)):
             assert np.array_equal(got[i, j], numpy_state(seed, key))
     with pytest.raises(ValueError, match="word count"):
-        _child_states([2**192, 2**160], [1])
+        _seed_states([2**192, 2**160], [1])
 
 
 def test_team_seeds_are_the_first_word():
-    team_seeds = _child_states([9], range(1, 51))[0, :, 0]
+    team_seeds = _seed_states([9], range(1, 51))[1:, 0]
     for t, team_seed in enumerate(team_seeds.tolist(), 1):
         want = np.random.SeedSequence(9, spawn_key=(t,)).generate_state(1, np.uint64)[0]
         assert team_seed == int(want)
 
 
-@settings(max_examples=60, deadline=None)
-@given(seeds, keys, st.integers(2, 50))
-@example(2**130, [1, MAX_KEY], 45)
-def test_streams_draw_numpy_orderings(seed, key_list, k):
-    streams = _streams(_child_states([seed], key_list))
-    for key, rng in zip(key_list, streams):
-        want = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(key,)))
-        assert np.array_equal(rng.permutation(k), want.permutation(k))
-        assert rng.bit_generator.state == want.bit_generator.state
+def numpy_draw(seed, raters, k):
+    """NumPy's own team draw on the root stream of ``seed``, as rows."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    return np.sort(rng.choice(raters, size=k, replace=False))
+
+
+@st.composite
+def team_blocks(draw):
+    """A block of 1-40 seeds, all below 2**64 or all of five words, and a
+    team size k of 3..60 out of 3..3000 raters."""
+    low = draw(st.booleans())
+    block = st.integers(0, 2**64 - 1) if low else st.integers(2**128, 2**160 - 1)
+    seed_list = draw(st.lists(block, min_size=1, max_size=40))
+    raters = draw(st.integers(3, 3000))
+    return seed_list, raters, draw(st.integers(3, min(60, raters)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(team_blocks(), st.lists(st.integers(1, MAX_KEY), max_size=3))
+@example(([0], 3, 3), [1])  # every rater: no draw read
+@example(([0, 1, 2], 4, 3), [])  # one rater left out, of only four
+@example(([5595, 2**64 - 1], 3000, 60), [7])  # 5595 redraws at its 58th step
+@example(([2**128, 2**160 - 1], 45, 7), [1, MAX_KEY])
+def test_team_lanes_draw_numpy_teams(block, key_list):
+    # the root lanes of a block against NumPy's choice, with the block's
+    # child lanes in the same draw table
+    seed_list, raters, k = block
+    assert _floyd_route(raters, k)
+    teams, perms = _pcg64_orderings(_seed_states(seed_list, key_list), k, len(seed_list), raters)
+    assert np.array_equal(teams, [numpy_draw(seed, raters, k) for seed in seed_list])
+    want = [shuffled(seed, key, k) for seed in seed_list for key in key_list]
+    assert np.array_equal(perms, np.reshape(want, (-1, k)))
+
+
+# 10,001 raters, one item: Generator.choice runs Floyd's algorithm for
+# k <= 10,001 // 50 = 200 and k == 10,001, and shuffles a tail for k = 201
+WIDE = AnnotationMatrix(
+    tuple(f"r{i:05d}" for i in range(10_001)),
+    ("i",),
+    ("a", "b"),
+    np.arange(10_001, dtype=np.int64)[:, None] % 2,
+)
+# 1581, 12270 and 16774 each redraw once at k = 200 (at steps 101, 48
+# and 31); 5 does not
+REDRAWING = [1581, 12270, 5, 16774]
+
+
+@pytest.mark.parametrize("k", [200, 201])
+def test_teams_of_many_raters_take_numpys_route(k):
+    assert _floyd_route(10_001, k) == (k == 200)
+    blocks = list(_experiments(WIDE, k, 2, REDRAWING))
+    teams = [team for block_teams, _ in blocks for team in block_teams]
+    assert teams == [numpy_team(WIDE, k, seed) for seed in REDRAWING]
+
+
+def test_a_team_of_every_rater_reads_no_draw():
+    teams, _ = _pcg64_orderings(_seed_states([0, 1581], ()), 10_001, 2, 10_001)
+    assert np.array_equal(teams, np.broadcast_to(np.arange(10_001), (2, 10_001)))
+    assert np.array_equal(teams[1], numpy_draw(1581, 10_001, 10_001))
 
 
 def test_each_stream_is_its_own_generator():
-    # kept together, no stream is moved on by the ones after it
-    streams = list(_streams(_child_states([9], [1, 2, 3])))
-    for key, rng in zip((1, 2, 3), streams):
-        want = np.random.default_rng(np.random.SeedSequence(9, spawn_key=(key,)))
-        assert np.array_equal(rng.permutation(10), want.permutation(10))
+    # kept together, no lane is moved on by the ones next to it: teams and
+    # orderings drawn in one table are those drawn alone
+    states = _seed_states([9, 1581], range(1, 4))
+    teams, perms = _pcg64_orderings(states, 200, 2, 10_001)
+    for t in range(2):
+        alone = _pcg64_orderings(states[t : t + 1], 200, 1, 10_001)[0]
+        assert np.array_equal(teams[t], alone[0])
+    for r in range(6):
+        assert np.array_equal(perms[r], _pcg64_orderings(states[2 + r : 3 + r], 200)[1][0])
 
 
 def shuffled(seed, key, k):
@@ -133,23 +193,27 @@ def shuffled(seed, key, k):
 @example(2**200, [MAX_KEY], 257)
 def test_both_routes_draw_numpy_orderings(seed, key_list, k):
     # the array route against NumPy's own shuffle
-    states = _child_states([seed], key_list)[0]
+    states = _seed_states([seed], key_list)[1:]
     want = np.stack([shuffled(seed, key, k) for key in key_list])
-    got = _pcg64_orderings(states, k)
+    got = _pcg64_orderings(states, k)[1]
     assert got.dtype == np.min_scalar_type(k - 1)
     assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("k", [3, 7, 33, 64])
 def test_lanes_that_run_out_draw_again(monkeypatch, k):
-    # with no spare draws some of 400 lanes reject too often for the first table
-    states = _child_states([11], range(1, 401))[0]
+    # with no spare draws some of 400 lanes reject too often for the first
+    # table; the team lanes in front of them keep their own draws
+    team_seeds = [11, 5595]
+    states = _seed_states(team_seeds, ())
+    states = np.concatenate([states, _seed_states([11], range(1, 401))[1:]])
     monkeypatch.setattr(mc, "_SPARE_DRAWS", 0)
     steps = mock.Mock(wraps=mc._pcg64_step)
     monkeypatch.setattr(mc, "_pcg64_step", steps)
-    got = _pcg64_orderings(states, k)
+    teams, got = _pcg64_orderings(states, k, len(team_seeds), 3000)
     assert steps.call_count > 1 + -(-mc._table_draws(k) // 2)  # seeding, first table
     assert np.array_equal(got, [shuffled(11, key, k) for key in range(1, 401)])
+    assert np.array_equal(teams, [numpy_draw(seed, 3000, k) for seed in team_seeds])
 
 
 @pytest.mark.parametrize("items", [100, 1000])
@@ -186,13 +250,6 @@ def test_subset_tables_stay_within_the_block_budget(items, k, m, j):
     assert peak <= 6 * mc._BLOCK_BYTES + 48 * j
 
 
-def test_a_bit_generator_asking_for_other_words_is_refused(monkeypatch):
-    # SFC64 asks its seed for 3 words: drawing would give another stream
-    monkeypatch.setattr(mc.np.random, "PCG64", np.random.SFC64)
-    with pytest.raises(ValueError, match="a PCG64 seed is 4 uint64 words, not 3 uint64"):
-        next(_streams(_child_states([9], [1])))
-
-
 def test_import_does_not_load_numpy_random():
     # compared with numpy alone, which loads numpy.random itself on NumPy 1.x
     src = str(Path(kappasim.__file__).resolve().parents[1])
@@ -204,6 +261,29 @@ def test_import_does_not_load_numpy_random():
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     before, after = run.stdout.split()
     assert after == before
+
+
+def test_simulate_and_variation_do_not_load_numpy_random(tmp_path):
+    # no team draw on the Floyd route builds a NumPy generator; compared
+    # with numpy alone, as above
+    matrix = tmp_path / "m.csv"
+    synth = ["synth", "--raters", "12", "--items", "10", "--noise", "0.4", "--out", str(matrix)]
+    assert main(synth) == 0
+    src = str(Path(kappasim.__file__).resolve().parents[1])
+    runs_file = str(tmp_path / "runs.csv")
+    runs = [
+        ["simulate", "--input", str(matrix), "--k", "5", "--m", "30", "--runs-out", runs_file],
+        ["variation", "--input", str(matrix), "--k", "4", "--m", "20", "--j", "30"],
+    ]
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import numpy; "
+        "before = 'numpy.random' in sys.modules; from kappasim.cli import main; "
+        f"codes = [main(argv) for argv in {runs!r}]; "
+        "print(codes, before, 'numpy.random' in sys.modules, file=sys.stderr)"
+    )
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    codes, before, after = run.stderr.splitlines()[-1].rsplit(None, 2)
+    assert (codes, after) == ("[0, 0]", before)
 
 
 @settings(max_examples=40, deadline=None)
@@ -230,11 +310,11 @@ def test_run_experiment_rows_are_the_kernel_on_numpy_orderings(seed, k, m):
 
 
 def test_blocks_of_teams_are_each_seeds_experiment():
-    team_seeds = _child_states([4], range(1, 8))[0, :, 0]
+    team_seeds = _seed_states([4], range(1, 8))[1:, 0]
     # 2 teams of 9 orderings per block at k=5 over 15 items (per team:
-    # progressions, draw tables, Gram matrix, two label grids): four
-    # blocks, the last short
-    team_bytes = 9 * (8 * 5 + 4 * mc._table_draws(5)) + 8 * 5 * 5 + 2 * 5 * 15
+    # progressions, the draw tables of 9 ordering lanes and a team lane,
+    # Gram matrix, label grid): four blocks, the last short
+    team_bytes = 9 * 8 * 5 + 10 * 4 * mc._table_draws(5) + 8 * 5 * 5 + 5 * 15
     with mock.patch.object(mc, "_BLOCK_BYTES", 2 * team_bytes):
         blocks = list(_experiments(SMALL, 5, 9, team_seeds))
     assert [len(teams) for teams, _ in blocks] == [2, 2, 2, 1]
@@ -250,30 +330,33 @@ def test_blocks_of_teams_are_each_seeds_experiment():
 @pytest.mark.parametrize("j", [None, 3])
 def test_only_team_draws_build_numpy_generators(monkeypatch, j):
     # every ordering is array arithmetic, also where a NumPy generator per
-    # ordering once drew them (k=45 with m=50 orderings per team)
+    # ordering once drew them (k=45 with m=50 orderings per team), and so
+    # is every team of up to 10,000 raters; a team of 201 of 10,001 raters
+    # is NumPy's own choice, on a generator of its own
     made = []
-    streams = mc._streams
+    generator = np.random.Generator
 
-    def counted(states):
-        for rng in streams(states):
-            made.append(rng)
-            yield rng
+    def counted(bit_generator):
+        made.append(bit_generator)
+        return generator(bit_generator)
 
-    monkeypatch.setattr(mc, "_streams", counted)
+    monkeypatch.setattr(np.random, "Generator", counted)
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: counted(np.random.PCG64(seed)))
     matrix = generate_synthetic(raters=45, items=20, categories=3, noise=0.4, seed=3)
-    if j is None:
-        run_experiment(matrix, ExperimentConfig(k=45, m=50, seed=7))
-        assert len(made) == 1
-    else:
-        run_variation(matrix, VariationConfig(k=45, m=50, j=j, seed=7))
-        assert len(made) == j
+    for k, m, matrix, teams in [(45, 50, matrix, 0), (7, 100, matrix, 0), (201, 2, WIDE, j or 1)]:
+        del made[:]
+        if j is None:
+            run_experiment(matrix, ExperimentConfig(k=k, m=m, seed=7))
+        else:
+            run_variation(matrix, VariationConfig(k=k, m=m, j=j, seed=7))
+        assert len(made) == teams
 
 
 class TestKeyLimit:
     @pytest.mark.parametrize("bad", [2**32, 2**40, -1])
     def test_key_outside_one_word(self, bad):
         with pytest.raises(DataError, match="spawn keys"):
-            _child_states([0], [1, bad])
+            _seed_states([0], [1, bad])
 
     def test_run_and_team_counts(self):
         ExperimentConfig(k=3, m=MAX_KEY, seed=0)
@@ -297,6 +380,55 @@ class TestKeyLimit:
         assert main(["synth", "--raters", "4", "--items", "3", "--out", str(matrix)]) == 0
         assert main([argv[0], "--input", str(matrix), *argv[1:]]) == 2
         assert "2**32-1" in capsys.readouterr().err
+
+
+@st.composite
+def code_grids(draw):
+    """Stacks of 1-4 teams' (k, items) label-code grids, k 2..45, over
+    1-5 categories, in uint8 or int64."""
+    n_categories = draw(st.integers(1, 5))
+    shape = (draw(st.integers(1, 4)), draw(st.integers(2, 45)), draw(st.integers(1, 60)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    codes = rng.integers(n_categories, size=shape)
+    return codes.astype(draw(st.sampled_from((np.uint8, np.int64)))), n_categories
+
+
+@settings(max_examples=80, deadline=None)
+@given(code_grids(), st.sampled_from(("default", "small_blocks", "python_ints")))
+@example((np.zeros((1, 45, 1), dtype=np.uint8), 1), "default")  # one item
+@example((np.arange(90).reshape(2, 45, 1) % 3, 3), "small_blocks")
+def test_gram_counts_each_pairs_agreements(grid, mode):
+    codes, n_categories = grid
+    want = (codes[:, :, None] == codes[:, None]).sum(axis=-1)
+    patches = {
+        "default": {"_BLOCK_BYTES": mc._BLOCK_BYTES},
+        "small_blocks": {"_BLOCK_BYTES": 1},  # one item at a time
+        "python_ints": {"_FLOAT_EXACT": 1},  # as where items^2 * k^3 >= 2**53
+    }[mode]
+    with mock.patch.multiple(mc, **patches):
+        gram = _gram(codes)
+        tables = mc._team_tables(codes, n_categories)[0]
+    assert gram.dtype == np.int64 and np.array_equal(gram, want)
+    assert np.array_equal(tables, want)
+    assert {type(cell) for cell in tables.flat} == ({int} if mode == "python_ints" else {np.int64})
+
+
+def test_gram_of_a_large_team_stays_within_the_block_budget():
+    # one k=45 team over 1,000 items: 990 pairs' label rows, blocked over
+    # items, where all of them at once would take about 11 budgets
+    codes = np.random.default_rng(0).integers(3, size=(1, 45, 1000)).astype(np.uint8)
+    matrix = generate_synthetic(raters=45, items=1000, categories=3, noise=0.4, seed=3)
+    tracemalloc.start()
+    try:
+        _gram(codes)
+        gram_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        run_variation(matrix, VariationConfig(k=45, m=50, j=1, seed=5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gram_peak <= 2 * mc._BLOCK_BYTES
+    assert peak <= 6 * mc._BLOCK_BYTES + 48
 
 
 def team_stack(n_teams, k, n_items, n_categories, m, seed):
