@@ -365,9 +365,16 @@ def _pcg64_orderings(
             # a lane's first rejected step draws again, and so each later one
             at += lanes * (rejected & (rejected.cumsum(axis=0) == 1)).cumsum(axis=0)
         v = (scaled >> _32).astype(np.intp)
-        team = np.empty((k, teams), dtype=np.intp)
-        for t, j in enumerate(range(raters - k, raters)):
-            team[t] = np.where((team[:t] == v[t]).any(axis=0), j, v[t])
+        # v is in the team already if an earlier step drew it, or if it is
+        # the j of an earlier step s that took j itself; resolved in step order
+        taken = ((v[:, None] == v) & np.tri(k, k, -1, dtype=bool)[:, :, None]).any(axis=1)
+        s = v - (raters - k)
+        chain = ~taken & (s >= 0) & (s < np.arange(k)[:, None])
+        s[~chain] = 0
+        lane = np.arange(teams)
+        for t in np.flatnonzero(chain.any(axis=1)).tolist():
+            taken[t] |= chain[t] & taken[s[t], lane]
+        team = np.where(taken, np.arange(raters - k, raters)[:, None], v)
         team.sort(axis=0)
     else:  # every rater, or no team lane
         team = np.broadcast_to(np.arange(k)[:, None], (k, teams))
@@ -402,19 +409,20 @@ def _gram(codes: np.ndarray) -> np.ndarray:
     agree, from a (teams, k, items) label-code grid.
 
     Each pair's two label rows are compared and the matches summed along
-    the items, a block of items at a time; a rater agrees with itself on
-    every item."""
+    the items; a rater agrees with itself on every item. Pairs go through
+    in blocks of about ``_BLOCK_BYTES`` with their rows whole, as NumPy's
+    per-row costs dominate on short rows; one pair's rows over all teams
+    take less than the label grid itself."""
     n_teams, k, n_items = codes.shape
     first, second = np.triu_indices(k, 1)
-    agree = np.zeros((n_teams, len(first)), dtype=np.int64)
-    # per item of a block: both label rows of every pair, and their comparison
-    step = max(1, _BLOCK_BYTES // (n_teams * len(first) * (2 * codes.itemsize + 1)))
-    for start in range(0, n_items, step):
-        block = codes[:, :, start : start + step]
-        agree += (block[:, first] == block[:, second]).sum(axis=2)
     gram = np.full((n_teams, k, k), n_items, dtype=np.int64)
-    gram[:, first, second] = agree
-    gram[:, second, first] = agree
+    # per pair: both label rows of every team, and their comparison
+    step = max(1, _BLOCK_BYTES // (n_teams * n_items * (2 * codes.itemsize + 1)))
+    for start in range(0, len(first), step):
+        r, s = first[start : start + step], second[start : start + step]
+        agree = (codes[:, r] == codes[:, s]).sum(axis=2)
+        gram[:, r, s] = agree
+        gram[:, s, r] = agree
     return gram
 
 

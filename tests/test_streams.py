@@ -116,11 +116,12 @@ def numpy_draw(seed, raters, k):
 @st.composite
 def team_blocks(draw):
     """A block of 1-40 seeds, all below 2**64 or all of five words, and a
-    team size k of 3..60 out of 3..3000 raters."""
+    team size k of 3..60 out of 3..3000 raters, often few raters, where a
+    drawn value is often in the team already."""
     low = draw(st.booleans())
     block = st.integers(0, 2**64 - 1) if low else st.integers(2**128, 2**160 - 1)
     seed_list = draw(st.lists(block, min_size=1, max_size=40))
-    raters = draw(st.integers(3, 3000))
+    raters = draw(st.integers(3, 12) | st.integers(3, 3000))
     return seed_list, raters, draw(st.integers(3, min(60, raters)))
 
 
@@ -128,6 +129,7 @@ def team_blocks(draw):
 @given(team_blocks(), st.lists(st.integers(1, MAX_KEY), max_size=3))
 @example(([0], 3, 3), [1])  # every rater: no draw read
 @example(([0, 1, 2], 4, 3), [])  # one rater left out, of only four
+@example(([3, 7, 10], 10, 8), [])  # each takes a j whose own step took its j
 @example(([5595, 2**64 - 1], 3000, 60), [7])  # 5595 redraws at its 58th step
 @example(([2**128, 2**160 - 1], 45, 7), [1, MAX_KEY])
 def test_team_lanes_draw_numpy_teams(block, key_list):
@@ -402,7 +404,7 @@ def test_gram_counts_each_pairs_agreements(grid, mode):
     want = (codes[:, :, None] == codes[:, None]).sum(axis=-1)
     patches = {
         "default": {"_BLOCK_BYTES": mc._BLOCK_BYTES},
-        "small_blocks": {"_BLOCK_BYTES": 1},  # one item at a time
+        "small_blocks": {"_BLOCK_BYTES": 1},  # one pair at a time
         "python_ints": {"_FLOAT_EXACT": 1},  # as where items^2 * k^3 >= 2**53
     }[mode]
     with mock.patch.multiple(mc, **patches):
@@ -415,7 +417,7 @@ def test_gram_counts_each_pairs_agreements(grid, mode):
 
 def test_gram_of_a_large_team_stays_within_the_block_budget():
     # one k=45 team over 1,000 items: 990 pairs' label rows, blocked over
-    # items, where all of them at once would take about 11 budgets
+    # pairs, where all of them at once would take about 11 budgets
     codes = np.random.default_rng(0).integers(3, size=(1, 45, 1000)).astype(np.uint8)
     matrix = generate_synthetic(raters=45, items=1000, categories=3, noise=0.4, seed=3)
     tracemalloc.start()
