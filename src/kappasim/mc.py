@@ -242,6 +242,8 @@ def _seed_states(seeds: Sequence[int], keys: Sequence[int]) -> np.ndarray:
     for word in entropy[_POOL_SIZE:]:
         for dst in range(_POOL_SIZE):
             pool[dst] = _mix(pool[dst], hashmix(word))
+    # the roots' pool, then each seed's with every key mixed in, as the
+    # extra-entropy loop mixes a key word into each pool word in turn
     pool = [
         np.concatenate([word, _mix(word[:, None], hashmix(keys)).ravel()]) for word in pool
     ]
