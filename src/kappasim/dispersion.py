@@ -28,7 +28,8 @@ from kappasim.agreement import fleiss_kappa
 from kappasim.corpus import AnnotationMatrix, read_columns, write_table
 from kappasim.errors import DataError
 from kappasim.mc import (
-    _MAX_KEY, ExperimentConfig, _experiments, _freeze_columns, _seed_states, column_moments
+    _MAX_KEY, ExperimentConfig, _check_team_size, _experiments, _freeze_columns, _seed_states,
+    column_moments,
 )
 
 VARIATION_HEADER = ("n", "mu_bar", "sigma_bar", "cv", "cv_percent")
@@ -105,10 +106,7 @@ def run_variation(matrix: AnnotationMatrix, config: VariationConfig) -> Variatio
     60 bytes a team. A spawn key is one 32-bit word, so j and m stay below
     2**32. The fold update at t=1 reduces to mu_1 and sigma_1 exactly.
     """
-    if config.k > len(matrix.raters):
-        raise DataError(
-            f"team size {config.k} exceeds the matrix's {len(matrix.raters)} raters"
-        )
+    _check_team_size(config.k, len(matrix.raters))
     ns = tuple(range(2, config.k + 1))
     team_seeds = _seed_states([config.seed], range(1, config.j + 1))[1:, 0].copy()
     mu_bar = np.zeros(len(ns))

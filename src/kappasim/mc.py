@@ -29,12 +29,11 @@ is built per run: :func:`_seed_states` runs SeedSequence's hash (fixed by
 NEP 19) as uint32 array arithmetic for many teams and runs at once, and
 :func:`_pcg64_orderings` runs PCG64 on the computed words as array
 arithmetic over all teams and runs of a block, and on it NumPy's
-``choice`` for each team and NumPy's shuffle for each ordering. Only a
-team that ``choice`` draws by shuffling a tail (more than 10,000 raters)
-is drawn by NumPy itself, on its own generator. NumPy is the oracle: a
-test pins every word, every team and every ordering bitwise to the
-installed NumPy. A spawn key is one 32-bit word, so m (and a variation's
-team count j) must stay below 2**32.
+``choice`` for each team, on either of its routes, and NumPy's shuffle for
+each ordering; no NumPy generator is built. NumPy is the oracle: a test
+pins every word, every team and every ordering bitwise to the installed
+NumPy. A spawn key is one 32-bit word, so m (and a variation's team count
+j) must stay below 2**32.
 """
 
 from __future__ import annotations
@@ -148,7 +147,8 @@ def sample_team(matrix: AnnotationMatrix, k: int, rng: np.random.Generator) -> t
     """Draw k distinct raters uniformly without replacement.
 
     The returned subset is in matrix order; orderings are a separate,
-    per-run draw.
+    per-run draw. It is the reference that the team lanes of
+    :func:`_pcg64_orderings` are tested against.
     """
     _check_team_size(k, len(matrix.raters))
     idx = np.sort(rng.choice(len(matrix.raters), size=k, replace=False))
@@ -162,8 +162,8 @@ def _check_team_size(k: int, total: int) -> None:
 
 def _floyd_route(total: int, k: int) -> bool:
     """Whether ``Generator.choice(total, k, replace=False)`` runs Floyd's
-    algorithm, which :func:`_pcg64_orderings` replays, rather than
-    shuffling a tail of all ``total`` indices."""
+    algorithm rather than shuffling a tail of all ``total`` indices; both
+    are replayed by :func:`_pcg64_orderings`."""
     return total <= 10_000 or k <= total // 50
 
 
@@ -311,9 +311,8 @@ def _pcg64_orderings(
     :func:`_seed_states` words, bit for bit: array arithmetic over all rows
     (lanes) at once, every lane on its own stream. The first ``teams``
     lanes each draw a team of k of ``raters`` (at least k), as
-    ``np.sort(choice(raters, k, replace=False))`` on NumPy's Floyd route
-    (:func:`_floyd_route`), (teams, k); every other lane draws an ordering,
-    ``permutation(k)``, (rows - teams, k).
+    ``np.sort(choice(raters, k, replace=False))``, (teams, k); every other
+    lane draws an ordering, ``permutation(k)``, (rows - teams, k).
 
     Seeding follows ``pcg64_set_seed``: state seed ``w0<<64 | w1``,
     increment ``(w2<<64 | w3)<<1 | 1``; from state 0, step, add the seed,
@@ -322,7 +321,12 @@ def _pcg64_orderings(
     raters-k .. raters-1, v is Lemire's bounded draw ``(u * (j+1)) >> 32``
     (Lemire 2019), redrawn while its low word is below ``(2**32-1-j) %
     (j+1)``, and j joins the team in place of a v already in it; with k ==
-    raters the team is every rater, and no draw is read. An ordering lane
+    raters the team is every rater, and no draw is read. Where ``choice``
+    shuffles a tail (:func:`_floyd_route`), the lane reads the same draws
+    from j = raters-1 down and runs Floyd's steps on them: the shuffle's
+    first swap puts draw d on top and the top rater at d, so its tail is d
+    and the smaller shuffle's tail with the top rater for d, which is, by
+    induction, Floyd's last step. An ordering lane
     runs the shuffle's ``random_interval`` swaps for i = k-1 .. 1: j is the
     next draw masked to ``2**bit_length(i) - 1``, redrawn while above i.
     Only the rejected lanes loop; a lane about to run out of draws makes
@@ -354,9 +358,11 @@ def _pcg64_orderings(
     n_outputs = -(-_table_draws(k) // 2)
     table = draws(n_outputs)
     if teams and raters > k:
-        bound = np.arange(raters - k + 1, raters + 1, dtype=np.uint64)[:, None]  # j + 1
+        read = 1 if _floyd_route(raters, k) else -1  # the tail shuffle reads j = raters-1 first
+        bound = np.arange(raters - k + 1, raters + 1, dtype=np.uint64)[::read, None]  # j + 1
         floor = (_LOW32 - bound + _ONE) % bound
-        at = np.arange(teams) + lanes * np.arange(k)[:, None]  # step t's draw: table[at[t]]
+        lane = np.arange(teams)
+        at = lane + lanes * np.arange(k)[:, None]  # step t's draw: table[at[t]]
         while True:
             if at.max() >= len(table):
                 table = np.concatenate([table, draws(n_outputs)])
@@ -366,14 +372,18 @@ def _pcg64_orderings(
                 break
             # a lane's first rejected step draws again, and so each later one
             at += lanes * (rejected & (rejected.cumsum(axis=0) == 1)).cumsum(axis=0)
-        v = (scaled >> _32).astype(np.intp)
-        # v is in the team already if an earlier step drew it, or if it is
-        # the j of an earlier step s that took j itself; resolved in step order
-        taken = ((v[:, None] == v) & np.tri(k, k, -1, dtype=bool)[:, :, None]).any(axis=1)
+        v = (scaled >> _32).astype(np.intp)[::read]  # in Floyd's step order
+        # v is in the team already if an earlier step drew it (a stable sort
+        # keeps a value's steps in order), or if it is the j of an earlier
+        # step s that took j itself; resolved in step order
+        order = np.argsort(v, axis=0, kind="stable")
+        ranked = v[order, lane]
+        taken = np.zeros(v.shape, dtype=bool)
+        taken[order[1:], lane] = ranked[1:] == ranked[:-1]
+        del order, ranked
         s = v - (raters - k)
         chain = ~taken & (s >= 0) & (s < np.arange(k)[:, None])
         s[~chain] = 0
-        lane = np.arange(teams)
         for t in np.flatnonzero(chain.any(axis=1)).tolist():
             taken[t] |= chain[t] & taken[s[t], lane]
         team = np.where(taken, np.arange(raters - k, raters)[:, None], v)
@@ -612,12 +622,10 @@ def _experiments(
 
     Per block, every seed's root and child words are hashed at once
     (:func:`_seed_states`), and :func:`_pcg64_orderings` draws the teams on
-    the roots' lanes and every ordering on the children's, all in one
-    table. Where ``choice`` would shuffle a tail instead of running Floyd's
-    algorithm (more than 10,000 raters), each team is :func:`sample_team`
-    on NumPy's own root stream. One kernel call then computes all the
-    progressions, from the subset table when 2**k <= m*(k-1)/2 and the
-    table fits the budget, by the position walk otherwise
+    the roots' lanes, on whichever route ``choice`` takes, and every
+    ordering on the children's, all in one table. One kernel call then
+    computes all the progressions, from the subset table when 2**k <=
+    m*(k-1)/2 and the table fits the budget, by the position walk otherwise
     (:func:`_prefix_kappas` gives the measured crossovers: at k = 7, the
     paper's team size, the two break even near m = 22 and the rule takes
     the table from m = 43). A block holds as many teams as keep what grows
@@ -635,17 +643,10 @@ def _experiments(
     if _takes_table(k, m, n_categories):
         team_bytes += 8 << k
     step = max(1, _BLOCK_BYTES // team_bytes)
-    floyd = _floyd_route(total, k)
     for first in range(0, len(seeds), step):
         block = seeds[first : first + step]
-        states = _seed_states(block, range(1, m + 1))
-        if floyd:
-            rows, perms = _pcg64_orderings(states, k, len(block), total)
-        else:  # NumPy's own choice, on each root stream
-            roots = (np.random.default_rng(np.random.SeedSequence(int(seed))) for seed in block)
-            rows = [matrix.rows(sample_team(matrix, k, rng)) for rng in roots]
-            perms = _pcg64_orderings(states[len(block) :], k)[1]
-        teams = [tuple(matrix.raters[i] for i in row) for row in np.asarray(rows).tolist()]
+        rows, perms = _pcg64_orderings(_seed_states(block, range(1, m + 1)), k, len(block), total)
+        teams = [tuple(matrix.raters[i] for i in row) for row in rows.tolist()]
         yield teams, _prefix_kappas(codes[rows], n_categories, perms.reshape(len(block), m, k))
 
 

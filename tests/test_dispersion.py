@@ -118,7 +118,7 @@ class TestRunVariation:
 
     def test_team_size_capped_by_matrix(self):
         small = matrix_from_codes([[0, 1], [1, 0], [0, 0]])
-        with pytest.raises(DataError, match="exceeds"):
+        with pytest.raises(DataError, match="team size must be between 3 and 3, got 7"):
             run_variation(small, VariationConfig(k=7, m=2, j=1))
 
 

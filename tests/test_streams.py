@@ -33,7 +33,7 @@ from kappasim import (
 )
 from kappasim import mc
 from kappasim.cli import main
-from kappasim.corpus import AnnotationMatrix
+from kappasim.corpus import AnnotationMatrix, write_matrix
 from kappasim.mc import (
     _experiments,
     _floyd_route,
@@ -116,13 +116,18 @@ def numpy_draw(seed, raters, k):
 @st.composite
 def team_blocks(draw):
     """A block of 1-40 seeds, all below 2**64 or all of five words, and a
-    team size k of 3..60 out of 3..3000 raters, often few raters, where a
-    drawn value is often in the team already."""
+    team size k on either of ``choice``'s routes: on Floyd's, 3..60 out of
+    3..3000 raters, often few raters, where a drawn value is often in the
+    team already; on the tail shuffle's, raters//50 + 1..400 or every one of
+    10,001..12,000 raters."""
     low = draw(st.booleans())
     block = st.integers(0, 2**64 - 1) if low else st.integers(2**128, 2**160 - 1)
     seed_list = draw(st.lists(block, min_size=1, max_size=40))
-    raters = draw(st.integers(3, 12) | st.integers(3, 3000))
-    return seed_list, raters, draw(st.integers(3, min(60, raters)))
+    if draw(st.booleans()):
+        raters = draw(st.integers(3, 12) | st.integers(3, 3000))
+        return seed_list, raters, draw(st.integers(3, min(60, raters)))
+    raters = draw(st.integers(10_001, 12_000))
+    return seed_list, raters, draw(st.integers(raters // 50 + 1, 400) | st.just(raters))
 
 
 @settings(max_examples=80, deadline=None)
@@ -132,11 +137,12 @@ def team_blocks(draw):
 @example(([3, 7, 10], 10, 8), [])  # each takes a j whose own step took its j
 @example(([5595, 2**64 - 1], 3000, 60), [7])  # 5595 redraws at its 58th step
 @example(([2**128, 2**160 - 1], 45, 7), [1, MAX_KEY])
+@example(([1056, 2237, 5180, 7766], 10_001, 201), [1])  # tail shuffle: each redraws once
+@example(([9, 1581], 12_000, 241), [2])  # the fewest that shuffle a tail of 12,000
 def test_team_lanes_draw_numpy_teams(block, key_list):
-    # the root lanes of a block against NumPy's choice, with the block's
-    # child lanes in the same draw table
+    # the root lanes of a block against NumPy's choice, on both of its
+    # routes, with the block's child lanes in the same draw table
     seed_list, raters, k = block
-    assert _floyd_route(raters, k)
     teams, perms = _pcg64_orderings(_seed_states(seed_list, key_list), k, len(seed_list), raters)
     assert np.array_equal(teams, [numpy_draw(seed, raters, k) for seed in seed_list])
     want = [shuffled(seed, key, k) for seed in seed_list for key in key_list]
@@ -168,6 +174,20 @@ def test_a_team_of_every_rater_reads_no_draw():
     teams, _ = _pcg64_orderings(_seed_states([0, 1581], ()), 10_001, 2, 10_001)
     assert np.array_equal(teams, np.broadcast_to(np.arange(10_001), (2, 10_001)))
     assert np.array_equal(teams[1], numpy_draw(1581, 10_001, 10_001))
+
+
+def test_team_lanes_take_little_memory_per_step():
+    # one team of 3,000 of 3,001 raters: comparing every pair of steps to
+    # find the values an earlier step drew takes about 6 KB a step
+    states = _seed_states([1581], ())
+    tracemalloc.start()
+    try:
+        teams, _ = _pcg64_orderings(states, 3000, 1, 3001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(teams[0], numpy_draw(1581, 3001, 3000))
+    assert peak < 256 * 3000
 
 
 def test_each_stream_is_its_own_generator():
@@ -266,16 +286,20 @@ def test_import_does_not_load_numpy_random():
 
 
 def test_simulate_and_variation_do_not_load_numpy_random(tmp_path):
-    # no team draw on the Floyd route builds a NumPy generator; compared
-    # with numpy alone, as above
-    matrix = tmp_path / "m.csv"
+    # no team draw builds a NumPy generator, on Floyd's route (12 raters)
+    # or where choice shuffles a tail (201 of 10,001); compared with numpy
+    # alone, as above
+    matrix, wide = tmp_path / "m.csv", tmp_path / "wide.csv"
     synth = ["synth", "--raters", "12", "--items", "10", "--noise", "0.4", "--out", str(matrix)]
     assert main(synth) == 0
+    write_matrix(WIDE, wide)
     src = str(Path(kappasim.__file__).resolve().parents[1])
     runs_file = str(tmp_path / "runs.csv")
     runs = [
         ["simulate", "--input", str(matrix), "--k", "5", "--m", "30", "--runs-out", runs_file],
         ["variation", "--input", str(matrix), "--k", "4", "--m", "20", "--j", "30"],
+        ["simulate", "--input", str(wide), "--k", "201", "--m", "3", "--runs-out", runs_file],
+        ["variation", "--input", str(wide), "--k", "201", "--m", "2", "--j", "5"],
     ]
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import numpy; "
@@ -285,7 +309,7 @@ def test_simulate_and_variation_do_not_load_numpy_random(tmp_path):
     )
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     codes, before, after = run.stderr.splitlines()[-1].rsplit(None, 2)
-    assert (codes, after) == ("[0, 0]", before)
+    assert (codes, after) == ("[0, 0, 0, 0]", before)
 
 
 @settings(max_examples=40, deadline=None)
@@ -333,8 +357,9 @@ def test_blocks_of_teams_are_each_seeds_experiment():
 def test_only_team_draws_build_numpy_generators(monkeypatch, j):
     # every ordering is array arithmetic, also where a NumPy generator per
     # ordering once drew them (k=45 with m=50 orderings per team), and so
-    # is every team of up to 10,000 raters; a team of 201 of 10,001 raters
-    # is NumPy's own choice, on a generator of its own
+    # is every team, also where choice shuffles a tail (201 of 10,001
+    # raters) and a NumPy generator per team once drew it
+    matrix = generate_synthetic(raters=45, items=20, categories=3, noise=0.4, seed=3)
     made = []
     generator = np.random.Generator
 
@@ -344,14 +369,12 @@ def test_only_team_draws_build_numpy_generators(monkeypatch, j):
 
     monkeypatch.setattr(np.random, "Generator", counted)
     monkeypatch.setattr(np.random, "default_rng", lambda seed: counted(np.random.PCG64(seed)))
-    matrix = generate_synthetic(raters=45, items=20, categories=3, noise=0.4, seed=3)
-    for k, m, matrix, teams in [(45, 50, matrix, 0), (7, 100, matrix, 0), (201, 2, WIDE, j or 1)]:
-        del made[:]
+    for k, m, matrix in [(45, 50, matrix), (7, 100, matrix), (201, 2, WIDE)]:
         if j is None:
             run_experiment(matrix, ExperimentConfig(k=k, m=m, seed=7))
         else:
             run_variation(matrix, VariationConfig(k=k, m=m, j=j, seed=7))
-        assert len(made) == teams
+        assert made == []
 
 
 class TestKeyLimit:
