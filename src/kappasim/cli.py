@@ -16,7 +16,8 @@ import dataclasses
 import json
 import math
 import sys
-from typing import Iterable, NoReturn, Sequence
+from functools import cached_property
+from typing import Callable, Iterable, NoReturn, Sequence
 
 from kappasim import __version__
 from kappasim.corpus import (
@@ -248,19 +249,15 @@ def _cmd_intervals(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="kappasim", description=__doc__)
-    parser.add_argument("--version", action="version", version=f"kappasim {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    p = sub.add_parser("preprocess", help="filter a raw survey file into a label matrix")
+def _preprocess_arguments(p: _Parser) -> None:
     p.add_argument("--raw", required=True, help="raw survey file (delimited, header row)")
     p.add_argument("--mapping", required=True, help="column mapping config file")
     p.add_argument("--out", help="matrix output path (default: stdout)")
     p.add_argument("--report", help="write the filter-count report here")
     p.set_defaults(func=_cmd_preprocess)
 
-    p = sub.add_parser("synth", help="generate a synthetic label matrix")
+
+def _synth_arguments(p: _Parser) -> None:
     p.add_argument("--raters", required=True, type=_int_at_least(2, "raters"))
     p.add_argument("--items", required=True, type=_int_at_least(1, "items"))
     p.add_argument("--categories", type=_int_at_least(2, "categories"), default=3)
@@ -269,12 +266,14 @@ def build_parser() -> _Parser:
     p.add_argument("--out", help="matrix output path (default: stdout)")
     p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("kappa", help="agreement of a matrix file")
+
+def _kappa_arguments(p: _Parser) -> None:
     p.add_argument("--input", required=True, help="matrix file")
     p.add_argument("--json", action="store_true", help="emit a JSON report")
     p.set_defaults(func=_cmd_kappa)
 
-    p = sub.add_parser("simulate", help="random-ordering prefix agreement experiment")
+
+def _simulate_arguments(p: _Parser) -> None:
     p.add_argument("--input", required=True, help="matrix file")
     p.add_argument("--k", type=int, help="team size (default: all raters)")
     p.add_argument("--m", type=int, default=1000, help="repetitions (default 1000)")
@@ -283,7 +282,8 @@ def build_parser() -> _Parser:
     p.add_argument("--stats-out", help="stats output path (default: stdout)")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("fit", help="fit the minimum-agreement model to experiment output")
+
+def _fit_arguments(p: _Parser) -> None:
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--stats", help="stats file from simulate")
     source.add_argument("--runs", help="runs file from simulate")
@@ -304,13 +304,15 @@ def build_parser() -> _Parser:
     )
     p.set_defaults(func=_cmd_fit)
 
-    p = sub.add_parser("minmodel", help="closed-form minimum-agreement prediction")
+
+def _minmodel_arguments(p: _Parser) -> None:
     p.add_argument("--n", required=True, type=_int_at_least(2, "n"), help="subset size")
     p.add_argument("--k", required=True, type=_int_at_least(3, "k"), help="team size")
     p.add_argument("--kappa-hat", required=True, type=float)
     p.set_defaults(func=_cmd_minmodel)
 
-    p = sub.add_parser("variation", help="cross-team dispersion of subset agreement")
+
+def _variation_arguments(p: _Parser) -> None:
     p.add_argument("--input", required=True, help="matrix file")
     p.add_argument("--k", type=int, default=7, help="team size (default 7)")
     p.add_argument("--m", type=int, default=100, help="repetitions per team (default 100)")
@@ -320,7 +322,8 @@ def build_parser() -> _Parser:
     p.add_argument("--intervals-out", help="write empirical-rule intervals here")
     p.set_defaults(func=_cmd_variation)
 
-    p = sub.add_parser("intervals", help="empirical-rule intervals from cv values")
+
+def _intervals_arguments(p: _Parser) -> None:
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--variation", help="variation table file")
     source.add_argument("--cv", type=float, help="single cv value (requires --n)")
@@ -337,6 +340,49 @@ def build_parser() -> _Parser:
     p.add_argument("--out", help="intervals output path (default: stdout)")
     p.set_defaults(func=_cmd_intervals)
 
+
+# name, help line, and the function that adds the subcommand's arguments
+_COMMANDS = (
+    ("preprocess", "filter a raw survey file into a label matrix", _preprocess_arguments),
+    ("synth", "generate a synthetic label matrix", _synth_arguments),
+    ("kappa", "agreement of a matrix file", _kappa_arguments),
+    ("simulate", "random-ordering prefix agreement experiment", _simulate_arguments),
+    ("fit", "fit the minimum-agreement model to experiment output", _fit_arguments),
+    ("minmodel", "closed-form minimum-agreement prediction", _minmodel_arguments),
+    ("variation", "cross-team dispersion of subset agreement", _variation_arguments),
+    ("intervals", "empirical-rule intervals from cv values", _intervals_arguments),
+)
+
+
+class _Subparser:
+    """A subcommand's parser, constructed and filled on first use. Every
+    command is listed with its help line in the top-level parser, but a
+    call constructs only the parser of the command it names (argparse
+    asks a subparser only for its methods, and those are the built
+    parser's). Help, usage and errors are the same as from a parser built
+    at once."""
+
+    def __init__(self, fill: Callable[[_Parser], None], **kwargs) -> None:
+        self._fill, self._kwargs = fill, kwargs
+
+    @cached_property
+    def _parser(self) -> _Parser:
+        parser = _Parser(**self._kwargs)
+        self._fill(parser)
+        return parser
+
+    def __getattr__(self, name: str):
+        return getattr(self._parser, name)
+
+
+def build_parser() -> _Parser:
+    parser = _Parser(prog="kappasim", description=__doc__)
+    parser.add_argument("--version", action="version", version=f"kappasim {__version__}")
+    sub = parser.add_subparsers(
+        dest="command", required=True, metavar="COMMAND", parser_class=_Subparser
+    )
+    for name, help_line, fill in _COMMANDS:
+        sub.add_parser(name, help=help_line, fill=fill)
     return parser
 
 

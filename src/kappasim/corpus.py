@@ -212,11 +212,22 @@ def _read_numeric(fh: TextIO, kinds: Sequence[str]) -> list[np.ndarray] | None:
     time from ``fh``. None on a body that is not ASCII or holds
     ``\\x1c``-``\\x1f`` (NumPy reads those otherwise than Python), on a
     failed check or no rows. A warning is an error (NumPy 1.x reads ``1.0``
-    into an int column with only a warning)."""
-    body = fh.read()
-    if not body.isascii() or any(c in body for c in "\x1c\x1d\x1e\x1f"):
+    into an int column with only a warning).
+
+    The body is scanned as bytes, a block at a time, with no text decode:
+    on ASCII bytes the two tests agree. The scan seeks the binary buffer
+    back to 0 and skips the header line (a byte-order mark with it),
+    because the text reader has already taken a read-ahead chunk past the
+    header off that buffer. A ``\\r`` within the header's bytes, before
+    their line end, ended the text header early; then None, since the text
+    body would hold bytes that the scan skips."""
+    raw = fh.buffer
+    raw.seek(0)
+    if b"\r" in raw.readline().rstrip(b"\r\n"):
         return None
-    del body  # not kept alive next to the table
+    while block := raw.read(_BLOCK_BYTES):
+        if not block.isascii() or any(c in block for c in b"\x1c\x1d\x1e\x1f"):
+            return None
     dtype = [(str(j), _COLUMN_KINDS[kind][1]) for j, kind in enumerate(kinds)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")

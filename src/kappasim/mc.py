@@ -695,20 +695,35 @@ def column_moments(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def summarize_table(ns: Sequence[int], table: np.ndarray) -> SubsetStats:
     """Column-wise distribution summary of an (m, len(ns)) kappa table.
 
-    Quartiles interpolate linearly between closest ranks; std is the
-    sample standard deviation (divisor m-1, zero when m=1). A constant
-    column is summarized by its value directly so that the full-team
-    column reproduces kappa-hat exactly, untouched by float summation
-    error.
+    Each column is sorted once: the minimum and maximum are its first and
+    last rows, and each quartile is taken by rank with NumPy's linear
+    rule, the one ``np.percentile`` uses. At rank (m-1)·q with whole part
+    i and fraction t, between a = row i and b = row i+1, the quartile is
+    a + (b-a)·t, or b - (b-a)·(1-t) where t >= 0.5; so every value is
+    bitwise that of ``np.min``, ``np.percentile`` and ``np.max``. Where a
+    zero ends a column, which of the equal zeros the sort put there is
+    not fixed, so that column's minimum or maximum comes from ``np.min``
+    or ``np.max`` itself, sign of zero included. std is the sample
+    standard deviation (divisor m-1, zero when m=1). A constant column
+    is summarized by its value directly so that the full-team column
+    reproduces kappa-hat exactly, untouched by float summation error.
     """
     table = np.asarray(table, dtype=np.float64)
     if table.ndim != 2 or table.shape[1] != len(ns):
         raise DataError("kappa table shape must be (m, number of subset sizes)")
     if table.shape[0] < 1:
         raise DataError("kappa table must hold at least one run")
-    lo, hi = table.min(axis=0), table.max(axis=0)
+    ranked = np.sort(table, axis=0)
+    lo, hi = ranked[0], ranked[-1]
+    if not (lo.all() and hi.all()):  # equal floats differ only in a zero's sign
+        lo, hi = table.min(axis=0), table.max(axis=0)
     const = lo == hi
-    q1, med, q3 = (np.where(const, lo, q) for q in np.percentile(table, (25, 50, 75), axis=0))
+    quartiles = []
+    for q in (0.25, 0.5, 0.75):
+        i, t = divmod((len(ranked) - 1) * q, 1)  # exact: q is a power-of-two fraction
+        a, b = ranked[int(i)], ranked[min(int(i) + 1, len(ranked) - 1)]
+        quartiles.append(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+    q1, med, q3 = (np.where(const, lo, q) for q in quartiles)
     mu, sigma = column_moments(table)
     return SubsetStats(
         ns=tuple(int(n) for n in ns),
@@ -826,21 +841,25 @@ def read_runs(path: str | Path) -> tuple[tuple[int, ...], np.ndarray]:
     """Read a runs file back as (subset sizes, (m, k-1) kappa table).
 
     Rows may appear in any order; table rows follow ascending run id and
-    each run's kappas keep their file order.
+    each run's kappas keep their file order. Rows in order, as
+    :func:`write_runs` writes them, are used as read; others are first
+    put in order by a stable sort of the run ids.
     """
     rids, ns_col, kappas = read_columns(path, RUNS_HEADER, "runs", ("int", "int", "float"))
-    order = np.argsort(rids, kind="stable")
-    run_ids, counts = np.unique(rids, return_counts=True)
-    ns_by_run = ns_col[order]
-    ns = tuple(ns_by_run[: counts[0]].tolist())
+    if not (rids[1:] >= rids[:-1]).all():
+        order = np.argsort(rids, kind="stable")
+        rids, ns_col, kappas = rids[order], ns_col[order], kappas[order]
+    starts = np.flatnonzero(np.r_[True, rids[1:] != rids[:-1]])
+    counts = np.diff(starts, append=len(rids))
+    ns = tuple(ns_col[: counts[0]].tolist())
     if ns != tuple(range(2, len(ns) + 2)):
         raise DataError(f"{path}: subset sizes must run 2..k in order")
     ok = counts == len(ns)
-    starts = (np.cumsum(counts) - counts)[ok]
-    ok[ok] = (ns_by_run[starts[:, None] + np.arange(len(ns))] == ns).all(axis=1)
+    ok[ok] = (ns_col[starts[ok, None] + np.arange(len(ns))] == ns).all(axis=1)
     if not ok.all():
-        raise DataError(f"{path}: run {run_ids[np.argmin(ok)]} does not cover subset sizes 2..k")
-    return ns, kappas[order].reshape(len(run_ids), len(ns))
+        run = rids[starts[np.argmin(ok)]]
+        raise DataError(f"{path}: run {run} does not cover subset sizes 2..k")
+    return ns, kappas.reshape(len(starts), len(ns))
 
 
 def write_stats(stats: SubsetStats, dest: str | Path | TextIO | None) -> None:

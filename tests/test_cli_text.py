@@ -18,6 +18,7 @@ import sys
 
 import pytest
 
+from kappasim import cli
 from kappasim.cli import build_parser, main
 
 COMMANDS = (
@@ -115,3 +116,40 @@ def test_cli_text(name, capsys):
         want = VARIANT_GOLDEN[name, variant]
     text = cli_text(CASES[name], capsys)
     assert hashlib.sha256(text.encode()).hexdigest() == want, text
+
+
+def _eager_subparser(fill, **kwargs) -> cli._Parser:
+    """A subcommand's parser built at once, as ``add_parser`` builds one."""
+    parser = cli._Parser(**kwargs)
+    fill(parser)
+    return parser
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_lazy_subparsers_read_as_eager_ones(name, capsys, monkeypatch):
+    # runs on every Python, whether or not a digest is recorded for it
+    lazy = cli_text(CASES[name], capsys)
+    monkeypatch.setattr(cli, "_Subparser", _eager_subparser)
+    assert cli_text(CASES[name], capsys) == lazy
+
+
+@pytest.mark.parametrize(
+    "argv, built",
+    [
+        (["--help"], ["kappasim"]),
+        (["fit", "--help"], ["kappasim", "kappasim fit"]),
+        (["minmodel", "--n", "3", "--k", "5", "--kappa-hat", "0.2"],
+         ["kappasim", "kappasim minmodel"]),
+    ],
+)
+def test_a_call_builds_only_the_parser_it_names(argv, built, capsys, monkeypatch):
+    progs = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        progs.append(self.prog)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    main(argv)
+    assert progs == built

@@ -1,8 +1,12 @@
 import io
+import math
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kappasim import (
     DataError,
@@ -223,6 +227,61 @@ class TestSummarize:
         stats = summarize(twin_runset)
         deviation = np.abs(stats.medians - twin_runset.kappa_hat)
         assert np.all(deviation[3:] <= 0.05)  # n >= 5
+
+
+# cells that tie, both zeros, negatives, both infinities and NaN
+SPECIAL_CELLS = [0.0, -0.0, 0.25, -0.25, 0.5, -1.0, 1.0, 1e-300, -1e-300, math.inf, -math.inf]
+
+
+@st.composite
+def kappa_tables(draw):
+    """An (m, c) table, m 1..1200 and c 1..50: uniform cells, some of them
+    replaced by cells from a small drawn pool (ties, zeros of both signs,
+    infinities), some columns constant, and now and then a NaN."""
+    m, c = draw(st.integers(1, 1200)), draw(st.integers(1, 50))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    table = rng.uniform(-1.0, 1.0, size=(m, c))
+    pool = draw(st.lists(st.sampled_from(SPECIAL_CELLS), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        pool += [0.0, -0.0]
+    share = draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    pooled = rng.random((m, c)) < share
+    table[pooled] = rng.choice(pool, size=int(pooled.sum()))
+    constant = rng.random(c) < draw(st.sampled_from([0.0, 0.3]))
+    table[:, constant] = table[0, constant]
+    if draw(st.integers(0, 9)) == 0:
+        table[rng.integers(m), rng.integers(c)] = math.nan
+    return table
+
+
+@settings(max_examples=300, deadline=None)
+@given(kappa_tables())
+@example(np.array([[0.0], [-0.0]]))  # equal zeros at the ends of a column
+@example(np.array([[0.0, 1.0, -0.0], [-0.0, 2.0, -0.0], [0.5, 0.0, 0.0]]))
+def test_quartiles_from_one_sort_are_numpys(table):
+    # the summary as NumPy computes it: np.min, np.percentile's linear
+    # quartiles and np.max, a constant column by its value
+    with np.errstate(invalid="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # std of one NaN row
+        lo, hi = np.min(table, axis=0), np.max(table, axis=0)
+        quartiles = np.percentile(table, (25, 50, 75), axis=0)
+        want = [lo, *(np.where(lo == hi, lo, q) for q in quartiles), hi]
+        ns = tuple(range(2, table.shape[1] + 2))
+        if not all((a <= b).all() for a, b in zip(want, want[1:])):  # NaN among them
+            with pytest.raises(DataError, match="order statistics must satisfy"):
+                summarize_table(ns, table)
+            return
+        stats = summarize_table(ns, table)
+    got = [stats.mins, stats.q1s, stats.medians, stats.q3s, stats.maxs]
+    assert got[0].tobytes() == lo.tobytes() and got[-1].tobytes() == hi.tobytes()
+    # np.percentile interpolates between the zeros its partition left at a
+    # rank, in an order of its own among equal zeros; so where a column
+    # holds zeros of both signs only a zero quartile's value is fixed
+    zeros = table == 0
+    mixed = (zeros & np.signbit(table)).any(axis=0) & (zeros & ~np.signbit(table)).any(axis=0)
+    for w, g in zip(want[1:-1], got[1:-1]):
+        same = w.view(np.uint64) == g.view(np.uint64)
+        assert (same | (mixed & (w == 0) & (g == 0))).all()
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 17, 100, 1000])

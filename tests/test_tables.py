@@ -343,6 +343,60 @@ def test_a_warning_sends_the_file_to_the_csv_reader(tmp_path, monkeypatch):
             read_runs(path)
 
 
+@pytest.mark.parametrize("what", ["runs", "stats"])
+@pytest.mark.parametrize("bom", [False, True])
+@pytest.mark.parametrize("hazard", ["\u01fe1", "1\x1c"])  # NumPy reads both as 1, Python neither
+@pytest.mark.parametrize("late", [False, True])
+def test_the_pre_scan_reads_the_whole_body(tmp_path, what, bom, hazard, late):
+    # the text reader takes a read-ahead chunk past the header off the
+    # binary buffer; a byte scan that did not seek back would miss a hazard
+    # near the start of the body and let NumPy read what the csv reader
+    # refuses. A hazard past the first block must be seen too.
+    header, kinds, tail = {
+        "runs": (RUNS_HEADER, ("int", "int", "float"), "2,0.5"),
+        "stats": (STATS_HEADER, ("int",) + ("float",) * 7, ",".join(["0.5"] * 7)),
+    }[what]
+    rows = [f"{i},{tail}" for i in range(2, 10_000)]
+    at = 8000 if late else 0
+    rows[at] = ",".join([hazard, *rows[at].split(",")[1:]])
+    path = write_lines(tmp_path / f"{what}.csv", [",".join(header), *rows], bom=bom)
+    body = path.read_bytes().split(b"\n", 1)[1]
+    assert body.find(hazard.encode()) >= _BLOCK_BYTES if late else body.find(hazard.encode()) < 100
+
+    def outcome(reader):
+        try:
+            return [(c.dtype, c.tobytes()) for c in reader(path, header, what, kinds)]
+        except DataError as exc:
+            return str(exc)
+
+    assert outcome(read_columns) == outcome(_read_csv) == f"{path}:{at + 2}: malformed {what} row"
+
+
+@st.composite
+def interleavings(draw):
+    """A run set and the order in which a file lists its rows: each entry
+    names a run, whose next row (in n order) comes there."""
+    runs = draw(run_sets())
+    k, m = runs.config.k, runs.config.m
+    order = draw(st.permutations([r for r in range(m) for _ in range(k - 1)]))
+    return runs, order
+
+
+@settings(max_examples=100, deadline=None)
+@given(interleavings())
+def test_runs_rows_may_come_in_any_order(scratch, case):
+    runs, order = case
+    path = scratch / "runs.csv"
+    write_runs(runs, path)
+    header, *lines = path.read_text().splitlines()
+    by_run = [iter(lines[r * (runs.config.k - 1):(r + 1) * (runs.config.k - 1)])
+              for r in range(runs.config.m)]
+    shuffled = write_lines(scratch / "shuffled.csv", [header, *(next(by_run[r]) for r in order)])
+    ns, table = read_runs(path)
+    assert read_runs(shuffled)[0] == ns
+    assert read_runs(shuffled)[1].tobytes() == table.tobytes()
+
+
 def test_matrix_errors_name_the_physical_line_after_multi_line_ids(tmp_path):
     two_lines = '"a\nb"'
     path = write_lines(
