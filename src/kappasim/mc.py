@@ -695,18 +695,19 @@ def column_moments(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def summarize_table(ns: Sequence[int], table: np.ndarray) -> SubsetStats:
     """Column-wise distribution summary of an (m, len(ns)) kappa table.
 
-    Each column is sorted once: the minimum and maximum are its first and
-    last rows, and each quartile is taken by rank with NumPy's linear
-    rule, the one ``np.percentile`` uses. At rank (m-1)·q with whole part
-    i and fraction t, between a = row i and b = row i+1, the quartile is
-    a + (b-a)·t, or b - (b-a)·(1-t) where t >= 0.5; so every value is
-    bitwise that of ``np.min``, ``np.percentile`` and ``np.max``. Where a
-    zero ends a column, which of the equal zeros the sort put there is
-    not fixed, so that column's minimum or maximum comes from ``np.min``
-    or ``np.max`` itself, sign of zero included. std is the sample
-    standard deviation (divisor m-1, zero when m=1). A constant column
-    is summarized by its value directly so that the full-team column
-    reproduces kappa-hat exactly, untouched by float summation error.
+    Each column is sorted once. Its minimum and maximum are the first and
+    last rows, unless one of them is a zero: equal zeros may differ in
+    sign, so then ``np.min`` and ``np.max`` give both. Each quartile is
+    taken by rank with NumPy's linear rule, the one ``np.percentile``
+    uses: at rank (m-1)·q, with whole part i and fraction t, between
+    a = row i and b = row i+1, it is a + (b-a)·t, or b - (b-a)·(1-t)
+    where t >= 0.5. Every value is bitwise ``np.percentile``'s, save the
+    sign of a zero quartile between zeros of both signs, which follows
+    the order the sort left them in (as ``np.percentile``'s follows its
+    partition's). std is the sample standard deviation (divisor m-1, zero
+    when m=1). A constant column is summarized by its value directly so
+    that the full-team column reproduces kappa-hat exactly, untouched by
+    float summation error.
     """
     table = np.asarray(table, dtype=np.float64)
     if table.ndim != 2 or table.shape[1] != len(ns):
