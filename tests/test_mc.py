@@ -229,7 +229,7 @@ class TestSummarize:
         assert np.all(deviation[3:] <= 0.05)  # n >= 5
 
 
-# cells that tie, both zeros, negatives, both infinities and NaN
+# cells that tie: both zeros, negatives, the smallest magnitudes and both infinities
 SPECIAL_CELLS = [0.0, -0.0, 0.25, -0.25, 0.5, -1.0, 1.0, 1e-300, -1e-300, math.inf, -math.inf]
 
 
