@@ -16,7 +16,6 @@ import dataclasses
 import json
 import math
 import sys
-from functools import cached_property
 from typing import Callable, Iterable, NoReturn, Sequence
 
 from kappasim import __version__
@@ -363,16 +362,21 @@ class _Subparser:
     at once."""
 
     def __init__(self, fill: Callable[[_Parser], None], **kwargs) -> None:
-        self._fill, self._kwargs = fill, kwargs
-
-    @cached_property
-    def _parser(self) -> _Parser:
-        parser = _Parser(**self._kwargs)
-        self._fill(parser)
-        return parser
+        self._fill, self._kwargs, self._built = fill, kwargs, None
 
     def __getattr__(self, name: str):
-        return getattr(self._parser, name)
+        # reached only for names the instance lacks. Its own state is read
+        # from vars(self), never by attribute, so an error while building
+        # (or a copy that has no state yet) raises as it is, not through
+        # this method again
+        own = vars(self)
+        if "_fill" not in own:
+            raise AttributeError(name)
+        if own["_built"] is None:
+            parser = _Parser(**own["_kwargs"])
+            own["_fill"](parser)
+            own["_built"] = parser
+        return getattr(own["_built"], name)
 
 
 def build_parser() -> _Parser:

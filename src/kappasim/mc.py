@@ -695,16 +695,14 @@ def column_moments(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def summarize_table(ns: Sequence[int], table: np.ndarray) -> SubsetStats:
     """Column-wise distribution summary of an (m, len(ns)) kappa table.
 
-    Each column is sorted once. Its minimum and maximum are the first and
-    last rows, unless one of them is a zero: equal zeros may differ in
-    sign, so then ``np.min`` and ``np.max`` give both. Each quartile is
-    taken by rank with NumPy's linear rule, the one ``np.percentile``
-    uses: at rank (m-1)·q, with whole part i and fraction t, between
-    a = row i and b = row i+1, it is a + (b-a)·t, or b - (b-a)·(1-t)
-    where t >= 0.5. Every value is bitwise ``np.percentile``'s, save the
-    sign of a zero quartile between zeros of both signs, which follows
-    the order the sort left them in (as ``np.percentile``'s follows its
-    partition's). std is the sample standard deviation (divisor m-1, zero
+    Each column is sorted once, and each quartile taken by rank with
+    NumPy's linear rule, the one ``np.percentile`` uses: at rank (m-1)·q,
+    with whole part i and fraction t, between a = row i and b = row i+1,
+    it is a + (b-a)·t, or b - (b-a)·(1-t) where t >= 0.5. Every quartile
+    is bitwise ``np.percentile``'s, save the sign of a zero quartile
+    between zeros of both signs, which follows the order the sort left
+    them in (as ``np.percentile``'s follows its partition's). std is the
+    sample standard deviation (divisor m-1, zero
     when m=1). A constant column is summarized by its value directly so
     that the full-team column reproduces kappa-hat exactly, untouched by
     float summation error.
@@ -714,10 +712,8 @@ def summarize_table(ns: Sequence[int], table: np.ndarray) -> SubsetStats:
         raise DataError("kappa table shape must be (m, number of subset sizes)")
     if table.shape[0] < 1:
         raise DataError("kappa table must hold at least one run")
+    lo, hi = table.min(axis=0), table.max(axis=0)
     ranked = np.sort(table, axis=0)
-    lo, hi = ranked[0], ranked[-1]
-    if not (lo.all() and hi.all()):  # equal floats differ only in a zero's sign
-        lo, hi = table.min(axis=0), table.max(axis=0)
     const = lo == hi
     quartiles = []
     for q in (0.25, 0.5, 0.75):

@@ -13,6 +13,7 @@ which bytes moved and why.
 from __future__ import annotations
 
 import argparse
+import copy
 import hashlib
 import sys
 
@@ -153,3 +154,22 @@ def test_a_call_builds_only_the_parser_it_names(argv, built, capsys, monkeypatch
     monkeypatch.setattr(cli._Parser, "__init__", counting_init)
     main(argv)
     assert progs == built
+
+
+def test_a_subparser_build_error_surfaces_as_raised():
+    # an AttributeError while a subparser builds must reach the caller as
+    # it was raised, not loop back through the lookup that started the build
+    def broken(parser):
+        parser.add_argument("--x").no_such_attribute
+
+    sub = cli._Subparser(broken, prog="kappasim broken")
+    with pytest.raises(AttributeError, match="no_such_attribute"):
+        sub.parse_known_args([])
+
+
+def test_a_subparser_copies_before_and_after_its_build():
+    sub = cli._Subparser(cli._minmodel_arguments, prog="kappasim minmodel")
+    fresh = copy.copy(sub)
+    args, _ = sub.parse_known_args(["--n", "3", "--k", "5", "--kappa-hat", "0.2"])
+    assert copy.copy(sub).format_usage() == fresh.format_usage()
+    assert (args.n, args.k, args.kappa_hat) == (3, 5, 0.2)
