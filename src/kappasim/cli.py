@@ -16,6 +16,7 @@ import dataclasses
 import json
 import math
 import sys
+from types import SimpleNamespace
 from typing import Callable, Iterable, NoReturn, Sequence
 
 from kappasim import __version__
@@ -43,11 +44,11 @@ from kappasim.dispersion import (
 from kappasim.errors import DataError
 from kappasim.mc import (
     ExperimentConfig,
+    column_moments,
     read_runs,
     read_stats,
     run_experiment,
     summarize,
-    summarize_table,
     write_runs,
     write_stats,
 )
@@ -179,9 +180,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_fit(args: argparse.Namespace) -> int:
     if args.stats:
         stats = read_stats(args.stats)
-    else:
+    else:  # fit reads only ns, the minima and the last mean: no sort, no quartiles
         ns, table = read_runs(args.runs)
-        stats = summarize_table(ns, table)
+        means = column_moments(table[:, -1:])[0]  # the last column's only
+        stats = SimpleNamespace(ns=ns, mins=table.min(axis=0), means=means)
     kappa_hat = float(stats.means[-1]) if args.kappa_hat is None else args.kappa_hat
     points = extract_minima(stats, kappa_hat, stats.ns[-1], include_final=not args.drop_final)
     result = fit(points, args.stage)

@@ -180,13 +180,20 @@ def read_columns(
 
     A table whose kinds are all numeric (runs, stats, minima, variation)
     takes one NumPy pass. Any other (the matrix) takes a byte pass, a
-    block of bytes at a time: NumPy finds each block's field ends and
-    numbers its cells with ``np.unique``, by 8-byte keys (or a wider
-    fixed-width view of the same cells), and only the block's distinct
-    keys are decoded and merged into the dicts. Each sort covers one
-    bounded block, so the read stays linear in the file's size. A file
-    either pass refuses goes through the csv reader, by the same rules:
-    the set of accepted files and every error message are the same.
+    block of bytes at a time: NumPy finds each block's field ends and keys
+    each cell of at most 8 bytes by those bytes, as one integer. Each
+    column keeps a lookup table of the sorted keys that earlier blocks
+    numbered, next to their numbers, capped at 8,192 keys; one
+    ``np.searchsorted`` finds a block's known cells in it. Only the cells
+    it misses, and every cell of a block's column with a wider cell (by a
+    fixed-width view), are numbered with ``np.unique``: their distinct
+    keys are decoded and merged into the dicts in file order, and missed
+    keys join the table. A column whose block was mostly misses (ids that
+    seldom repeat) stops looking up and numbers each later block whole.
+    Each sort covers one bounded block and each table is capped, so the
+    read stays linear in the file's size. A file either pass refuses goes
+    through the csv reader, by the same rules: the set of accepted files
+    and every error message are the same.
     """
     path = Path(path)
     fast = _read_numeric if all(isinstance(kind, str) for kind in kinds) else _read_bytes
@@ -243,6 +250,7 @@ def _read_numeric(fh: TextIO, kinds: Sequence[str]) -> list[np.ndarray] | None:
 
 _BLOCK_BYTES = 64 * 1024  # bytes read at a time: one block's arrays are alive at once
 _GRID_BYTES = 16 * _BLOCK_BYTES  # the most a block's column of wide cells may take as S{w}
+_TABLE_KEYS = _BLOCK_BYTES // 8  # the most keys a column's lookup table holds: a block's size
 # _KEY_MASKS[n] keeps the first n bytes of a little-endian 8-byte word
 _KEY_MASKS = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
 
@@ -262,29 +270,36 @@ def _read_bytes(fh: TextIO, kinds: Sequence[dict[str, int]]) -> list[np.ndarray]
         return None
     limit = csv.field_size_limit()
     chunks: list[list[np.ndarray]] = [[] for _ in kinds]
+    tables: list[tuple[np.ndarray, ...] | None] = [() for _ in kinds]  # none yet
     tail = b""  # a line cut at the end of the last block
-    while True:
-        data = raw.read(_BLOCK_BYTES)
+    while (data := raw.read(_BLOCK_BYTES)) or tail:
         text = tail + (data or b"\n")  # a last line with no \n ends at the end of the file
         cut = text.rfind(b"\n") + 1
         tail = text[cut:]
         if len(tail) > limit or any(c in text for c in (b'"', b"\r", b"\0")):
             return None
-        if cut and not _block_columns(text, cut, kinds, chunks, limit):
+        if cut and not _block_columns(text, cut, kinds, chunks, tables, limit):
             return None
-        if not data:
-            break
     return _joined(chunks) if chunks[0] else None
 
 
 def _block_columns(
     text: bytes, size: int, kinds: Sequence[dict[str, int]], chunks: list[list[np.ndarray]],
-    limit: int,
+    tables: list[tuple[np.ndarray, ...] | None], limit: int,
 ) -> bool:
     """Number the cells of ``text[:size]``, whole lines, into each kind's
     dict and append each column's int32 chunk; False on a line of more
     than ``limit`` bytes, a wrong field count or too wide a grid. A block
-    of blank lines appends nothing."""
+    of blank lines appends nothing.
+
+    ``tables[j]`` is column j's lookup table: the sorted 8-byte keys that
+    earlier blocks numbered, and their codes; empty until a block of
+    narrow cells seeds it. The keys a block misses are numbered as a
+    whole block's are, in file order, and join the table while it holds
+    at most ``_TABLE_KEYS``. A block whose cells were mostly misses sets
+    the table to None: the column numbers every later block whole. The
+    table is a cache in front of the dict: a short cell that a wide block
+    numbered misses it, and the dict returns its code."""
     width = len(kinds)
     body = np.frombuffer(text, np.uint8, size)
     ends = np.flatnonzero((body == ord(",")) | (body == ord("\n")))  # where each field ends
@@ -314,26 +329,53 @@ def _block_columns(
     for j, (kind, column) in enumerate(zip(kinds, chunks)):
         at, n = starts[:, j], lengths[:, j]
         w = int(n.max())
-        if w <= 8:
-            # masked to the cell's length; with NUL refused, no two cells share a key
-            keys = words[at] & _KEY_MASKS[n]
-        elif len(at) * w > _GRID_BYTES:
-            return False
-        else:  # the same window, w bytes wide, with the bytes past each cell cleared
+        if w > 8:
+            if len(at) * w > _GRID_BYTES:
+                return False
+            # the same window, w bytes wide, with the bytes past each cell cleared
             grid = np.ndarray((size, w), np.uint8, padded, 0, (1, 1))[at]
             grid[np.arange(w) >= n[:, None]] = 0
-            keys = grid.view(f"S{w}").ravel()
-        distinct, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        # the block's distinct cells by first appearance; "stable" reuses the sort
-        # kernel np.unique has mapped (the default maps another, about 0.25 MB)
-        order = np.argsort(first, kind="stable")
-        # each key's bytes in file order, as bytes without their trailing NULs: the cells
-        names = distinct[order].astype(distinct.dtype.newbyteorder("<"))
-        names = names.view(f"S{distinct.itemsize}").tolist()
-        codes = np.empty(len(first), dtype=np.int32)
-        codes[order] = [kind.setdefault(name, len(kind)) for name in map(bytes.decode, names)]
-        column.append(codes[inverse])
+            column.append(_numbered(grid.view(f"S{w}").ravel(), kind)[0])
+            continue
+        # masked to the cell's length: with NUL refused, a key names exactly
+        # one byte string, so a key found in the table has that code
+        keys = words[at] & _KEY_MASKS[n]
+        table = tables[j]
+        if not table:
+            codes, distinct, numbers = _numbered(keys, kind)
+            if table is not None and len(distinct) <= _TABLE_KEYS:
+                tables[j] = distinct, numbers
+            column.append(codes)
+            continue
+        known, numbers = table
+        # known[:-1] leaves each slot in range; the last key is still found there
+        slot = np.searchsorted(known[:-1], keys)
+        codes = numbers[slot]
+        missed = np.flatnonzero(known[slot] != keys)
+        if len(missed):
+            codes[missed], distinct, numbered = _numbered(keys[missed], kind)
+            if 2 * len(missed) > len(keys):
+                tables[j] = None
+            elif len(known) + len(distinct) <= _TABLE_KEYS:
+                slot = np.searchsorted(known, distinct)
+                tables[j] = np.insert(known, slot, distinct), np.insert(numbers, slot, numbered)
+        column.append(codes)
     return True
+
+
+def _numbered(keys: np.ndarray, kind: dict[str, int]) -> tuple[np.ndarray, ...]:
+    """Number ``keys`` into ``kind`` by first appearance: each key's code
+    (int32), the distinct keys in sorted order and the code of each."""
+    distinct, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    # the distinct cells by first appearance; "stable" reuses the sort kernel
+    # np.unique has mapped (the default maps another, about 0.25 MB)
+    order = np.argsort(first, kind="stable")
+    # each key's bytes in file order, as bytes without their trailing NULs: the cells
+    names = distinct[order].astype(distinct.dtype.newbyteorder("<"))
+    names = names.view(f"S{distinct.itemsize}").tolist()
+    numbers = np.empty(len(first), dtype=np.int32)
+    numbers[order] = [kind.setdefault(name, len(kind)) for name in map(bytes.decode, names)]
+    return numbers[inverse], distinct, numbers
 
 
 @contextmanager

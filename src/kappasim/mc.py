@@ -666,30 +666,32 @@ def run_experiment(matrix: AnnotationMatrix, config: ExperimentConfig) -> RunSet
     )
 
 
-def column_moments(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def column_moments(
+    table: np.ndarray, lo: np.ndarray | None = None, hi: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Mean and sample standard deviation (divisor m-1) of each column of
     an (m, c) table, or of each table of a (..., m, c) stack, shape (c,)
-    or (..., c).
+    or (..., c). ``lo`` and ``hi`` are each column's minimum and maximum,
+    reduced here unless the caller holds them.
 
-    A constant column yields (value, 0.0) exactly, m=1 included, so the
-    full-team column reproduces kappa-hat untouched by summation error.
-    The other columns are reduced as rows of the contiguous transpose:
-    that sums each column in the same pairwise order as reducing it on its
-    own, where ``axis=0`` would accumulate row by row and differ in the
-    last bits. A stack's columns are rows of one such transpose, so each
-    table's moments are bitwise those of the table alone.
+    A constant column (``lo == hi``) yields (value, 0.0) exactly, m=1
+    included, so the full-team column reproduces kappa-hat untouched by
+    summation error. Each other column is copied out as one contiguous
+    row and reduced along it: that sums the column in the same pairwise
+    order as reducing it on its own, where ``axis=0`` would accumulate row
+    by row and differ in the last bits. So each table of a stack has
+    bitwise the moments of the table alone.
     """
     table = np.asarray(table, dtype=np.float64)
-    cols = np.ascontiguousarray(np.swapaxes(table, -1, -2))
-    shape = cols.shape[:-1]
-    cols = cols.reshape(-1, table.shape[-2])
-    mu = cols.min(axis=1)
-    sigma = np.zeros(len(cols))
-    live = mu != cols.max(axis=1)
+    if lo is None or hi is None:
+        lo, hi = table.min(axis=-2), table.max(axis=-2)
+    mu, sigma = np.array(lo, dtype=np.float64), np.zeros(np.shape(lo))
+    live = mu != hi
     if live.any():  # never with m=1, where std(ddof=1) would warn
-        mu[live] = cols[live].mean(axis=1)
-        sigma[live] = cols[live].std(axis=1, ddof=1)
-    return mu.reshape(shape), sigma.reshape(shape)
+        cols = np.swapaxes(table, -1, -2)[live]
+        mu[live] = cols.mean(axis=1)
+        sigma[live] = cols.std(axis=1, ddof=1)
+    return mu, sigma
 
 
 def summarize_table(ns: Sequence[int], table: np.ndarray) -> SubsetStats:
@@ -721,7 +723,7 @@ def summarize_table(ns: Sequence[int], table: np.ndarray) -> SubsetStats:
         a, b = ranked[int(i)], ranked[min(int(i) + 1, len(ranked) - 1)]
         quartiles.append(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
     q1, med, q3 = (np.where(const, lo, q) for q in quartiles)
-    mu, sigma = column_moments(table)
+    mu, sigma = column_moments(table, lo, hi)
     return SubsetStats(
         ns=tuple(int(n) for n in ns),
         mins=lo,

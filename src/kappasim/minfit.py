@@ -207,7 +207,8 @@ def extract_minima(
 
     The n = k minimum is pinned to kappa_hat (the column is constant by
     construction); ``include_final=False`` drops that point instead, for
-    fits that should not be anchored by it.
+    fits that should not be anchored by it. Only ``stats.ns`` and
+    ``stats.mins`` are read.
     """
     if stats.ns != tuple(range(2, k + 1)):
         raise DataError(f"stats must cover subset sizes 2..{k}")

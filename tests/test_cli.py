@@ -4,10 +4,14 @@ import argparse
 import json
 import warnings
 
+import numpy as np
 import pytest
 
 from kappasim.cli import build_parser, main
-from kappasim import read_matrix
+from kappasim import read_matrix, read_runs, summarize_table
+from kappasim.corpus import write_table
+from kappasim.mc import RUNS_HEADER
+from kappasim.minfit import extract_minima, fit, fit_report_json
 
 from conftest import TWIN_RHO
 
@@ -355,6 +359,20 @@ class TestFit:
              "--out", str(tmp_path / "r2.txt")]
         ) == 0
         assert from_runs.read_bytes() == from_stats.read_bytes()
+
+    def test_runs_report_is_that_of_the_whole_summary(self, tmp_path, capsys):
+        # fit --runs summarizes no more of the runs than it reads: the minima
+        # and the last column's mean, here not constant (a hand-made file)
+        rng = np.random.default_rng(4)
+        table = rng.uniform(0.05, 0.6, size=(1000, 5))
+        runs = tmp_path / "runs.csv"
+        rows = [(r + 1, n, repr(float(v))) for r, row in enumerate(table)
+                for n, v in zip(range(2, 7), row)]
+        write_table(runs, RUNS_HEADER, rows)
+        stats = summarize_table(*read_runs(runs))
+        points = extract_minima(stats, float(stats.means[-1]), 6)
+        assert main(["fit", "--runs", str(runs), "--stage", "S2", "--json"]) == 0
+        assert capsys.readouterr().out == fit_report_json(fit(points, "S2"))
 
     def test_drop_final_shrinks_minima(self, experiment_files, tmp_path, capsys):
         _, stats = experiment_files

@@ -48,7 +48,9 @@ from kappasim import mc
 from kappasim.cli import main
 from kappasim.corpus import (
     _BLOCK_BYTES,
+    _TABLE_KEYS,
     MATRIX_HEADER,
+    _numbered,
     _read_csv,
     _row_error,
     read_columns,
@@ -581,29 +583,30 @@ def matrix_files(draw):
     return data
 
 
-@settings(max_examples=300, deadline=None)
-@given(matrix_files())
-def test_byte_pass_matches_the_csv_reader(scratch, data):
-    path = scratch / "matrix.csv"
-    path.write_bytes(data)
+def decided_columns(path, reader):
+    """What ``reader`` makes of a matrix file: its columns' bytes and its
+    dicts' keys in order, or the error text."""
+    kinds = ({}, {}, {})
+    try:
+        columns = reader(path, MATRIX_HEADER, "matrix", kinds)
+    except DataError as exc:
+        return str(exc)
+    return [(c.dtype, c.shape, c.tobytes()) for c in columns], [list(k) for k in kinds]
 
-    def columns(reader):
-        kinds = ({}, {}, {})
-        try:
-            columns = reader(path, MATRIX_HEADER, "matrix", kinds)
-        except DataError as exc:
-            return str(exc)
-        return [(c.dtype, c.shape, c.tobytes()) for c in columns], [list(k) for k in kinds]
 
-    def matrix():
-        try:
-            m = read_matrix(path)
-        except DataError as exc:
-            return str(exc)
-        return m.raters, m.items, m.categories, m.codes.tobytes()
+def decided_matrix(path):
+    try:
+        m = read_matrix(path)
+    except DataError as exc:
+        return str(exc)
+    return m.raters, m.items, m.categories, m.codes.tobytes()
 
-    got = columns(read_columns)
-    assert got == columns(_read_csv)
+
+def assert_byte_pass_decides_as_csv(path):
+    """The byte pass and the csv reader give ``path`` the same columns, the
+    same dict order and the same error text, and so does read_matrix."""
+    got = decided_columns(path, read_columns)
+    assert got == decided_columns(path, _read_csv)
     if not isinstance(got, str):  # the ids numbered by first appearance, as csv rows give them
         with open(path, encoding="utf-8-sig", newline="") as fh:
             rows = [row for row in list(csv.reader(fh))[1:] if row]
@@ -611,9 +614,110 @@ def test_byte_pass_matches_the_csv_reader(scratch, data):
         codes = [np.array([n.index(c) for c in column], dtype=np.int64)
                  for n, column in zip(names, zip(*rows))]
         assert got == ([(c.dtype, c.shape, c.tobytes()) for c in codes], names)
-    by_bytes = matrix()
+    by_bytes = decided_matrix(path)
     with mock.patch("kappasim.corpus._read_bytes", return_value=None):
-        assert by_bytes == matrix()
+        assert by_bytes == decided_matrix(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrix_files())
+def test_byte_pass_matches_the_csv_reader(scratch, data):
+    path = scratch / "matrix.csv"
+    path.write_bytes(data)
+    assert_byte_pass_decides_as_csv(path)
+
+
+def lookup_rows():
+    """40 raters x 300 items, rater-major, in about 3.3 blocks: every later
+    block looks its items and labels up in the tables of earlier ones."""
+    labels = SENTIMENT_CATEGORIES[:2]
+    return [f"r{r},s{i},{labels[(r + i) % 2]}" for r in range(40) for i in range(300)]
+
+
+def wide_then_narrow(rows):
+    # the wide item's rows open the file, so only the first block takes the
+    # wide route for items; s299 is numbered there, is missing from the next
+    # two blocks (whose items seed the table) and misses it in the last one
+    wide = [row.replace(",s0,", ",item-zero-wide,") for row in rows if ",s0," in row]
+    late = [row for row in rows if ",s299," in row and int(row[1:row.index(",")]) >= 4]
+    return wide + [row for row in rows if ",s0," not in row and row not in late] + late
+
+
+def late_new_ids(rows):
+    # s150 and the label "negative" first appear in the third block, where
+    # they miss the tables and join them, and are found there in the fourth
+    late = [row.rsplit(",", 1)[0] + ",negative" for row in rows if ",s150," in row]
+    rows = [row for row in rows if ",s150," not in row]
+    return rows[:8000] + late[:20] + rows[8000:] + late[20:]
+
+
+LOOKUP_CASES = {
+    "plain": lambda rows: rows,
+    "wide_then_narrow": wide_then_narrow,
+    "late_new_ids": late_new_ids,
+    "late_quote": lambda rows: rows[:-1] + ['"r39"' + rows[-1][3:]],
+    "late_field_count": lambda rows: rows[:-5] + [rows[-5].rsplit(",", 1)[0]] + rows[-4:],
+    "late_duplicate": lambda rows: rows[:-3] + [rows[0]] + rows[-3:],
+    "late_missing": lambda rows: rows[:-10] + rows[-9:],
+}
+
+
+@pytest.mark.parametrize("table_keys", [_TABLE_KEYS, 299])  # 299: s150's miss finds it full
+@pytest.mark.parametrize("case", sorted(LOOKUP_CASES))
+def test_lookup_tables_decide_as_the_csv_reader(tmp_path, monkeypatch, case, table_keys):
+    monkeypatch.setattr("kappasim.corpus._TABLE_KEYS", table_keys)
+    rows = LOOKUP_CASES[case](lookup_rows())
+    path = write_lines(tmp_path / "matrix.csv", ["rater,item,label", *rows])
+    data = path.read_bytes()
+    assert len(data) > 3 * _BLOCK_BYTES
+    if case == "wide_then_narrow":
+        first, second = data.index(b",s299,"), data.index(b"r4,s299,")
+        assert data.rindex(b"item-zero-wide") < first < _BLOCK_BYTES < 3 * _BLOCK_BYTES < second
+    if case == "late_new_ids":
+        first, last = data.index(b",s150,"), data.rindex(b",s150,")
+        assert 2 * _BLOCK_BYTES < first < 3 * _BLOCK_BYTES < last
+    assert_byte_pass_decides_as_csv(path)
+
+
+def test_later_blocks_find_known_ids_in_the_lookup_table(tmp_path, monkeypatch):
+    # every item and label is in the first block: no later block numbers one
+    matrix = generate_synthetic(40, 500, noise=0.5, seed=2)
+    path = tmp_path / "matrix.csv"
+    write_matrix(matrix, path)
+    assert path.stat().st_size > 4 * _BLOCK_BYTES
+    numbered = []
+
+    def spy(keys, kind):
+        numbered.append(kind)
+        return _numbered(keys, kind)
+
+    monkeypatch.setattr("kappasim.corpus._numbered", spy)
+    raters, items, tokens = kinds = ({}, {}, {})
+    read_columns(path, MATRIX_HEADER, "matrix", kinds)
+    assert len(items) == 500 and len(tokens) == 3
+    assert [kind is items for kind in numbered].count(True) == 1
+    assert [kind is tokens for kind in numbered].count(True) == 1
+
+
+def test_all_distinct_ids_hold_no_more_than_the_capped_tables(tmp_path, monkeypatch):
+    # Every item is new in its block, so the item table stops at the second
+    # block. The ids' own strings and dicts take over 100 bytes each, so the
+    # read is measured against the same read with no table at all.
+    matrix = generate_synthetic(2, 150_000, noise=0.5, seed=5)
+    path = tmp_path / "matrix.csv"
+    write_matrix(matrix, path)
+
+    def peak():
+        tracemalloc.start()
+        try:
+            assert read_matrix(path) == matrix
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    with_tables = peak()
+    monkeypatch.setattr("kappasim.corpus._TABLE_KEYS", 0)  # no column keeps a table
+    assert with_tables < peak() + 3 * 12 * _TABLE_KEYS
 
 
 def test_own_matrix_takes_the_byte_pass(tmp_path, monkeypatch):
