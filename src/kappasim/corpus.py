@@ -250,7 +250,7 @@ def _read_numeric(fh: TextIO, kinds: Sequence[str]) -> list[np.ndarray] | None:
 
 _BLOCK_BYTES = 64 * 1024  # bytes read at a time: one block's arrays are alive at once
 _GRID_BYTES = 16 * _BLOCK_BYTES  # the most a block's column of wide cells may take as S{w}
-_TABLE_KEYS = _BLOCK_BYTES // 8  # the most keys a column's lookup table holds: a block's size
+_TABLE_KEYS = _BLOCK_BYTES // 8  # the most keys a column's lookup table holds: 64 KB of keys
 # _KEY_MASKS[n] keeps the first n bytes of a little-endian 8-byte word
 _KEY_MASKS = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
 

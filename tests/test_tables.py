@@ -692,7 +692,7 @@ def test_later_blocks_find_known_ids_in_the_lookup_table(tmp_path, monkeypatch):
         return _numbered(keys, kind)
 
     monkeypatch.setattr("kappasim.corpus._numbered", spy)
-    raters, items, tokens = kinds = ({}, {}, {})
+    _, items, tokens = kinds = ({}, {}, {})
     read_columns(path, MATRIX_HEADER, "matrix", kinds)
     assert len(items) == 500 and len(tokens) == 3
     assert [kind is items for kind in numbered].count(True) == 1
