@@ -16,11 +16,10 @@ import sys
 import typing
 import warnings
 from contextlib import contextmanager
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 from operator import itemgetter
 from pathlib import Path
-from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -151,9 +150,13 @@ def _cell_ok(kind: str | dict[str, int], cell: str) -> bool:
 
 
 def _joined(chunks: list[list[np.ndarray]]) -> list[np.ndarray]:
-    """Each column from its chunks; a dict's numbers, int32 while chunks
-    are alive (half the memory), become int64."""
-    return [np.concatenate(c, dtype=np.promote_types(c[0].dtype, np.int64)) for c in chunks]
+    """Each column from its chunks, in their dtype (a dict's numbers stay
+    int32); a column's chunks are let go once it is joined."""
+    columns = []
+    for column in chunks:
+        columns.append(np.concatenate(column))
+        column.clear()
+    return columns
 
 
 def read_columns(
@@ -171,7 +174,8 @@ def read_columns(
       ``"float"`` (finite) or ``"float_or_nan"`` (by Python's int and
       float), or, for a dict, any string: the dict, empty at the call,
       numbers the column's strings by first appearance and the column
-      holds those numbers;
+      holds those numbers as int32, so it takes at most 2**31 distinct
+      strings (numbers 0 to 2**31 - 1);
     - at least one data row.
 
     A broken rule raises :class:`DataError` naming the file; for a bad
@@ -453,13 +457,10 @@ class AnnotationMatrix:
     items: tuple[str, ...]
     categories: tuple[str, ...]
     codes: np.ndarray
-    rater_rows: Mapping[str, int] = field(init=False, repr=False)  # rater -> row of codes
 
     def __post_init__(self) -> None:
-        rows = {r: i for i, r in enumerate(self.raters)}
-        if len(rows) != len(self.raters):
+        if len(set(self.raters)) != len(self.raters):
             raise DataError("rater identifiers must be unique")
-        object.__setattr__(self, "rater_rows", MappingProxyType(rows))
         if len(set(self.items)) != len(self.items):
             raise DataError("item identifiers must be unique")
         if len(set(self.categories)) != len(self.categories):
@@ -483,15 +484,6 @@ class AnnotationMatrix:
         codes = codes.astype(np.int64, copy=True)
         codes.setflags(write=False)
         object.__setattr__(self, "codes", codes)
-
-    def rows(self, raters: Sequence[str]) -> list[int]:
-        """Row of ``codes`` for each rater; DataError naming any rater not
-        in the matrix."""
-        try:
-            return [self.rater_rows[r] for r in raters]
-        except KeyError:
-            missing = [r for r in raters if r not in self.rater_rows]
-            raise DataError(f"team members not in matrix: {', '.join(missing)}") from None
 
     def counts(self) -> np.ndarray:
         """Per-item category counts over all raters, shape (items, categories)."""
@@ -767,8 +759,8 @@ def generate_synthetic(
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     truth = rng.integers(categories, size=items)
     flip = rng.random((raters, items)) < noise
-    replacement = rng.integers(categories, size=(raters, items))
-    codes = np.where(flip, replacement, truth[None, :])
+    codes = rng.integers(categories, size=(raters, items))  # the replacements
+    np.copyto(codes, truth[None, :], where=~flip)
     if categories == 3:
         cats = SENTIMENT_CATEGORIES
     else:
@@ -806,6 +798,11 @@ def write_matrix(matrix: AnnotationMatrix, dest: str | Path | TextIO | None) -> 
             fh.write(f"{r}," + f"\n{r},".join(tails[starts + codes].tolist()) + "\n")
 
 
+def _cell_dtype(n_cells: int) -> type:
+    """The width of :func:`read_matrix`'s cell numbers 0..n_cells-1."""
+    return np.int32 if n_cells < 2**31 else np.int64
+
+
 def read_matrix(path: str | Path) -> AnnotationMatrix:
     """Read a long-format matrix file back into an :class:`AnnotationMatrix`.
 
@@ -813,6 +810,11 @@ def read_matrix(path: str | Path) -> AnnotationMatrix:
     appearance. Label tokens are matched exactly (case-sensitive). The
     category set is the canonical sentiment triple when every token
     belongs to it, otherwise the distinct tokens in first-appearance order.
+
+    Each row's cell number, rater * items + item, is int32 when the
+    matrix has fewer than 2**31 cells and int64 otherwise; the labels are
+    held in the narrowest unsigned type of the category count until the
+    matrix widens them to its int64 codes.
     """
     # Number raters, items and tokens by first appearance: dict lookups
     # keep the read linear, and three integer columns replace the strings
@@ -830,16 +832,18 @@ def read_matrix(path: str | Path) -> AnnotationMatrix:
             raise _row_error(path, lambda row: row[2] == token, f"unknown label token {token!r}")
     inferred = set(tokens) <= set(SENTIMENT_CATEGORIES)
     cats = SENTIMENT_CATEGORIES if inferred else tuple(tokens)
-    rater_names, item_names = list(raters), list(items)
 
     n_cells = len(raters) * len(items)
-    cell = rater_idx * len(items) + item_idx
+    cell = rater_idx.astype(_cell_dtype(n_cells))
+    cell *= len(items)
+    cell += item_idx
+    del rater_idx, item_idx
     present = np.zeros(n_cells, dtype=bool)
     present[cell] = True
     if np.count_nonzero(present) != len(cell):
         seen: set[int] = set()
         r, i = divmod(next(c for c in cell.tolist() if c in seen or seen.add(c)), len(items))
-        rater, item = rater_names[r], item_names[i]
+        rater, item = list(raters)[r], list(items)[i]
         copies = itertools.count()  # the duplicate is that cell's second row
         raise _row_error(
             path,
@@ -848,10 +852,12 @@ def read_matrix(path: str | Path) -> AnnotationMatrix:
         )
     if len(cell) != n_cells:
         r, i = divmod(int(np.argmin(present)), len(items))
+        rater, item = list(raters)[r], list(items)[i]
         raise DataError(
-            f"{path}: incomplete matrix: rater {rater_names[r]!r} has no label for "
-            f"item {item_names[i]!r}"
+            f"{path}: incomplete matrix: rater {rater!r} has no label for item {item!r}"
         )
-    codes = np.empty(n_cells, dtype=np.int64)
-    codes[cell] = np.array([cats.index(t) for t in tokens])[token_idx]
+    labels = np.array([cats.index(t) for t in tokens], dtype=np.min_scalar_type(len(cats) - 1))
+    codes = np.empty(n_cells, dtype=labels.dtype)
+    codes[cell] = labels[token_idx]
+    del present, cell, token_idx  # the matrix's int64 copy is made next to the label grid only
     return AnnotationMatrix(tuple(raters), tuple(items), cats, codes.reshape(-1, len(items)))

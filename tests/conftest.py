@@ -11,6 +11,7 @@ from hypothesis import settings
 
 from kappasim import (
     AnnotationMatrix,
+    DataError,
     ExperimentConfig,
     RunSet,
     generate_synthetic,
@@ -77,10 +78,20 @@ def matrix_from_codes(codes, n_categories: int | None = None) -> AnnotationMatri
     )
 
 
+def rows(matrix: AnnotationMatrix, raters) -> list[int]:
+    """Row of ``matrix.codes`` for each of ``raters``; DataError naming
+    every rater not in the matrix."""
+    row_of = {r: i for i, r in enumerate(matrix.raters)}
+    missing = [r for r in raters if r not in row_of]
+    if missing:
+        raise DataError(f"team members not in matrix: {', '.join(missing)}")
+    return [row_of[r] for r in raters]
+
+
 def subset(matrix: AnnotationMatrix, raters) -> AnnotationMatrix:
     """``matrix`` restricted to ``raters``, in the given order."""
-    rows = matrix.rows(raters)
-    return AnnotationMatrix(tuple(raters), matrix.items, matrix.categories, matrix.codes[rows])
+    codes = matrix.codes[rows(matrix, raters)]
+    return AnnotationMatrix(tuple(raters), matrix.items, matrix.categories, codes)
 
 
 def numpy_team(matrix: AnnotationMatrix, k: int, seed: int) -> tuple[str, ...]:
@@ -106,7 +117,7 @@ def kernel_rows(matrix: AnnotationMatrix, team, perms) -> np.ndarray:
     ``team``): the prefix kernel's position walk on a one-team stack,
     whichever route the kernel would pick, so that a test of the subset
     table against these rows does not compare the table with itself."""
-    codes = matrix.codes[matrix.rows(team)][None]
+    codes = matrix.codes[rows(matrix, team)][None]
     return _walk_kappas(codes, len(matrix.categories), np.asarray(perms)[None])[0]
 
 
@@ -117,7 +128,7 @@ def ordering_kappas(matrix: AnnotationMatrix, ordering) -> np.ndarray:
 
 def label(matrix: AnnotationMatrix, rater: str, item: str) -> str:
     """The label token ``rater`` gave ``item``."""
-    return matrix.categories[matrix.codes[matrix.rater_rows[rater], matrix.items.index(item)]]
+    return matrix.categories[matrix.codes[matrix.raters.index(rater), matrix.items.index(item)]]
 
 
 def random_counts(rng: np.random.Generator) -> np.ndarray:

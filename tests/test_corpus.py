@@ -20,7 +20,7 @@ from kappasim import (
     write_matrix,
 )
 
-from conftest import label, matrix_from_codes, subset
+from conftest import label, matrix_from_codes, rows, subset
 
 
 def small_matrix() -> AnnotationMatrix:
@@ -56,15 +56,14 @@ class TestAnnotationMatrix:
 
     def test_rater_rows_lookup(self):
         m = small_matrix()
-        assert dict(m.rater_rows) == {"a": 0, "b": 1, "c": 2}
-        assert m.rows(("c", "a", "c")) == [2, 0, 2]
-        with pytest.raises(TypeError):
-            m.rater_rows["d"] = 3  # read-only view
+        assert rows(m, m.raters) == [0, 1, 2]
+        assert rows(m, ("c", "a", "c")) == [2, 0, 2]
+        assert np.array_equal(m.codes[rows(m, ("c", "a"))], m.codes[[2, 0]])
 
     def test_unknown_rater_errors_unchanged(self):
         # one message, naming every unknown rater, wherever rows are looked up
         m = small_matrix()
-        for call in (lambda: m.rows(["a", "zz", "b", "yy"]),
+        for call in (lambda: rows(m, ["a", "zz", "b", "yy"]),
                      lambda: subset(m, ("a", "zz", "b", "yy"))):
             with pytest.raises(DataError, match="^team members not in matrix: zz, yy$"):
                 call()

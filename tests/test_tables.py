@@ -10,6 +10,7 @@ NumPy pass first; it must accept exactly what the csv reader accepts.
 import csv
 import io
 import math
+import random
 import re
 import tracemalloc
 import warnings
@@ -50,6 +51,7 @@ from kappasim.corpus import (
     _BLOCK_BYTES,
     _TABLE_KEYS,
     MATRIX_HEADER,
+    _cell_dtype,
     _numbered,
     _read_csv,
     _row_error,
@@ -427,7 +429,8 @@ def test_a_chunk_of_blank_lines_changes_nothing(tmp_path, capsys):
         lines = plain[what].read_text(encoding="utf-8").splitlines()
         blank = write_lines(tmp_path / f"blank-{what}.csv", [*lines[:3], *[""] * 5000, *lines[3:]])
         columns = read_columns(blank, header, what, kinds())
-        assert [c.dtype for c in columns[:2]] == [np.dtype(np.int64)] * 2
+        width = np.int32 if what == "matrix" else np.int64  # a dict numbers in int32
+        assert [c.dtype for c in columns[:2]] == [np.dtype(width)] * 2
         for got, want in zip(columns, read_columns(plain[what], header, what, kinds())):
             assert got.dtype == want.dtype and np.array_equal(got, want)
     assert read_matrix(tmp_path / "blank-matrix.csv") == matrix
@@ -611,7 +614,7 @@ def assert_byte_pass_decides_as_csv(path):
         with open(path, encoding="utf-8-sig", newline="") as fh:
             rows = [row for row in list(csv.reader(fh))[1:] if row]
         names = [list(dict.fromkeys(column)) for column in zip(*rows)]
-        codes = [np.array([n.index(c) for c in column], dtype=np.int64)
+        codes = [np.array([n.index(c) for c in column], dtype=np.int32)
                  for n, column in zip(names, zip(*rows))]
         assert got == ([(c.dtype, c.shape, c.tobytes()) for c in codes], names)
     by_bytes = decided_matrix(path)
@@ -816,9 +819,11 @@ def test_write_matrix_memory_does_not_grow_with_raters(tmp_path):
 
 
 def test_read_matrix_memory_is_bounded_by_its_columns(tmp_path):
-    # The three int64 columns take 24 bytes a cell. Splitting the whole
-    # file at once would hold a str object per line and per cell, over
-    # 200 bytes a cell; the byte pass holds one 64 KB block's arrays.
+    # The peak is the three int32 columns, 12 bytes a cell, while the last
+    # one is joined from its chunks (4 more), plus one 64 KB block's
+    # arrays; after them come the int32 cell numbers, a uint8 label grid
+    # and the matrix's int64 codes. Splitting the whole file at once would
+    # hold a str object per line and per cell, over 200 bytes a cell.
     matrix = generate_synthetic(1_000, 100, noise=0.5, seed=3)
     path = tmp_path / "matrix.csv"
     write_matrix(matrix, path)
@@ -828,7 +833,44 @@ def test_read_matrix_memory_is_bounded_by_its_columns(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * 24 * matrix.codes.size
+    assert peak < 24 * matrix.codes.size
+
+
+def test_generate_synthetic_memory_is_bounded_by_its_draws():
+    # the noise draw (8 bytes a cell, kept as a 1-byte mask), the int64
+    # replacements that take the truth in place, and the matrix's int64
+    # copy: about 17 bytes a cell; a third full grid from np.where is 25
+    generate_synthetic(2, 1)  # NumPy's first draw imports and allocates on its own
+    tracemalloc.start()
+    try:
+        matrix = generate_synthetic(1_000, 300, noise=0.5, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * matrix.codes.size
+
+
+@pytest.mark.parametrize("cells,width", [(2**31 - 1, np.int32), (2**31, np.int64)])
+def test_cell_numbers_are_int32_below_2_to_the_31_cells(cells, width):
+    assert _cell_dtype(cells) is width
+    assert np.iinfo(width).max >= cells - 1  # the largest cell number fits
+
+
+def test_either_cell_width_reads_the_same_matrix(tmp_path, monkeypatch):
+    # rows in random order, so the cells are not numbered in file order
+    matrix = generate_synthetic(30, 20, noise=0.5, seed=6)
+    path = tmp_path / "matrix.csv"
+    write_matrix(matrix, path)
+    header, *body = path.read_text(encoding="utf-8").splitlines()
+    random.Random(6).shuffle(body)
+    write_lines(path, [header, *body])
+    narrow = read_matrix(path)
+    monkeypatch.setattr("kappasim.corpus._cell_dtype", lambda cells: np.int64)
+    wide = read_matrix(path)
+    assert narrow == wide and narrow.categories == wide.categories
+    assert narrow.codes.dtype == wide.codes.dtype == np.int64
+    assert all(label(narrow, r, i) == label(matrix, r, i) for r in matrix.raters
+               for i in matrix.items)
 
 
 def test_a_cell_over_the_field_limit_is_a_data_error(tmp_path, capsys):
